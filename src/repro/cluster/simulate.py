@@ -1,13 +1,16 @@
 """Cluster serving simulation: a fleet of replicas behind one router.
 
-This is the multi-board driver over the per-replica engine the serving
-refactor exposed (:class:`repro.serve.dispatcher.Dispatcher`).  One event
-heap carries the whole fleet — arrivals hit the cluster edge, get routed
+The fleet runs on the same :class:`~repro.serve.engine.EventEngine` as the
+single-pool simulator — one heap loop, one replica per
+:class:`~repro.serve.dispatcher.Dispatcher`.  This module adds only what
+a fleet has and a single pool does not: arrivals hit the cluster edge
+(a fleet-wide admission bound), get routed
 (:class:`~repro.cluster.router.Router`: session affinity, then
 join-the-shortest-queue with seeded ties), and land in one replica's
 batcher; each replica dispatches onto its own *lanes* (shard groups of
 ``tp * pp`` units, :class:`~repro.cluster.sharding.ShardedCostModel`
-pricing compute + interconnect per batch).
+pricing compute + interconnect per batch).  It also assembles the fleet
+summary.
 
 When an :class:`~repro.cluster.autoscaler.AutoscalerConfig` is given, a
 periodic autoscale event samples fleet pressure and spawns or drains
@@ -24,7 +27,6 @@ router — one ``(trace seed, router seed)`` pair replays byte-identically.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass, field
 
@@ -39,6 +41,7 @@ from repro.obs.recorder import NULL_RECORDER, FlightRecorder
 from repro.obs.slo import NULL_SLO, SLOTracker
 from repro.obs.tracer import NULL_TRACER, RequestPathConfig, Tracer
 from repro.serve.dispatcher import Dispatcher, ServeConfig
+from repro.serve.engine import EventEngine, shed
 from repro.serve.metrics import MetricsCollector, percentiles
 from repro.serve.request import Request
 
@@ -51,9 +54,7 @@ class ClusterConfig:
 
     ``spike`` (a :class:`~repro.obs.incident_cli.SpikeInjection`, or
     ``None``) injects a deterministic latency spike into every replica's
-    cost model — the cluster counterpart of the single-pool
-    ``--inject-spike-*`` flags, composed over the sharded models through
-    :class:`~repro.obs.incident_cli.SpikedCostModel`.
+    cost model, exactly as ``simulate(spike=...)`` does for one pool.
     """
 
     serve: ServeConfig = ServeConfig()
@@ -146,10 +147,10 @@ def simulate_cluster(
 ) -> ClusterReport:
     """Run the cluster serving simulation over a request trace.
 
-    Event tags on the shared heap: ``arrive`` (a request at the cluster
-    edge), ``finish``/``wake`` (a replica's dispatcher events, tagged with
-    the replica id by its push wrapper), ``spawn`` (a provisioning replica
-    becoming routable) and ``autoscale`` (a periodic policy sample).
+    Besides the engine's own ``finish``/``wake`` events, the fleet
+    handles three tags: ``arrive`` (a request at the cluster edge),
+    ``spawn`` (a provisioning replica becoming routable) and ``autoscale``
+    (a periodic policy sample).
 
     ``slo`` (default: disabled) is the fleet-wide SLO tracker — every
     replica reports completions/rejections into it, the router uses its
@@ -179,38 +180,17 @@ def simulate_cluster(
     )
 
     boards = [Board(b) for b in range(spec.boards)]
-    replicas: list[Replica] = []
+    engine = EventEngine(recorder=recorder, spike=config.spike)
+    replicas: list[Replica] = engine.replicas
 
-    events: list[tuple[int, int, str, object]] = []
-    seq = 0
-
-    def push(t: int, tag: str, payload: object = None) -> None:
-        nonlocal seq
-        heapq.heappush(events, (t, seq, tag, payload))
-        seq += 1
-
-    def replica_push(rid: int):
-        """Event sink handed to one replica's dispatcher: tags events
-        with the replica id so the loop can route them back."""
-
-        def _push(t: int, tag: str, payload: object = None) -> None:
-            push(t, tag, (rid, payload))
-
-        return _push
-
-    def allocate_boards(rid: int) -> tuple[int, ...] | None:
+    def spawn_replica(now: int, active_at: int) -> Replica | None:
+        rid = len(replicas)
         free = [b for b in boards if b.free][: spec.boards_per_replica]
         if len(free) < spec.boards_per_replica:
             return None
         for b in free:
             b.owner = rid
-        return tuple(b.bid for b in free)
-
-    def spawn_replica(now: int, active_at: int) -> Replica | None:
-        rid = len(replicas)
-        owned = allocate_boards(rid)
-        if owned is None:
-            return None
+        owned = tuple(b.bid for b in free)
         r = Replica(rid, owned, spawned_at=active_at,
                     state="active" if active_at <= now else "provisioning")
         r.cost = ShardedCostModel(
@@ -219,15 +199,6 @@ def simulate_cluster(
             tp_cross_board=spec.tp_cross_board,
             pp_cross_boundaries=spec.pp_cross_boundaries,
         )
-        # The dispatcher prices batches through the (optionally spiked)
-        # wrapper; ``r.cost`` stays the sharded model so the summary's
-        # compute/interconnect accumulators read the same object the
-        # wrapper delegates to.
-        dispatch_cost = r.cost
-        if config.spike is not None:
-            from repro.obs.incident_cli import SpikedCostModel
-
-            dispatch_cost = SpikedCostModel(r.cost, config.spike)
         # Lane -> board process for the trace: a lane's units live on the
         # board holding its first shard unit (boards as processes,
         # replica lanes as threads under them).
@@ -238,8 +209,10 @@ def simulate_cluster(
         r.dispatcher = Dispatcher(
             config.serve,
             UnitPool(spec.lanes_per_replica),
-            replica_push(rid),
-            cost=dispatch_cost,
+            engine.sink(rid),
+            # Priced through the (optionally spiked) wrapper; ``r.cost``
+            # stays the sharded model the summary's accumulators read.
+            cost=engine.priced(r.cost),
             tracer=tracer,
             registry=reg,
             track_prefix=f"r{rid}.",
@@ -251,17 +224,15 @@ def simulate_cluster(
         )
         replicas.append(r)
         if active_at > now:
-            push(active_at, "spawn", rid)
+            engine.push(active_at, "spawn", rid)
         return r
 
-    def retire_if_drained(r: Replica, now: int) -> None:
-        if r.state == "draining" and r.drained():
-            r.state = "retired"
-            r.retired_at = now
-            for b in boards:
-                if b.owner == r.rid:
-                    b.owner = None
-            note_active(now)
+    def retire(r: Replica, now: int) -> None:
+        r.state, r.retired_at = "retired", now
+        for b in boards:
+            if b.owner == r.rid:
+                b.owner = None
+        note_active(now)
 
     _last_active = -1
 
@@ -277,31 +248,22 @@ def simulate_cluster(
     note_active(0)
 
     arrivals_remaining = len(requests)
-    edge_rejected = 0
     cluster_queue_samples: list[tuple[int, int]] = []
 
     def fleet_depth() -> int:
         return sum(r.dispatcher.depth() for r in replicas if r.active)
 
     def work_pending() -> bool:
-        if arrivals_remaining:
-            return True
-        for r in replicas:
-            if r.state == "retired":
-                continue
-            if r.state == "provisioning":
-                return True
-            d = r.dispatcher
-            if d.depth() or len(d.idle) < d.pool.n_units:
-                return True
-        return False
+        return arrivals_remaining > 0 or any(
+            r.state == "provisioning" or not r.drained()
+            for r in replicas if r.state != "retired")
 
     def run_autoscale(now: int) -> None:
         pending_up = sum(1 for r in replicas if r.state == "provisioning")
         free_capacity = (
             sum(1 for b in boards if b.free) // spec.boards_per_replica
         )
-        burn = slo.fleet_burn(now) if slo.enabled else 0.0
+        burn = slo.fleet_burn(now)
         action = scaler.decide(
             now, replicas, pending_up=pending_up,
             free_capacity=free_capacity, burn_rate=burn,
@@ -343,12 +305,11 @@ def simulate_cluster(
                 burn,
                 incident=recorder.active_incident_id(),
             )
-            retire_if_drained(victim, now)
+            if victim.drained():
+                retire(victim, now)
         note_active(now)
-        if recorder.enabled:
-            recorder.record_scale(now, ev.as_dict())
-        if reg.enabled:
-            reg.counter(f"cluster.{ev.action}").inc()
+        recorder.record_scale(now, ev.as_dict())
+        reg.counter(f"cluster.{ev.action}").inc()
         if tracer.enabled:
             tracer.span(
                 f"{ev.action} r{ev.rid}",
@@ -359,80 +320,45 @@ def simulate_cluster(
                 args=ev.as_dict(),
             )
 
-    for r in sorted(requests, key=lambda r: (r.arrival, r.rid)):
-        push(r.arrival, "arrive", r)
-    if scaler is not None:
-        push(scaler.interval, "autoscale", None)
+    def arrive(now: int, req: Request) -> list[Replica]:
+        nonlocal arrivals_remaining
+        arrivals_remaining -= 1
+        target = (router.route(req, replicas, now)
+                  if fleet_depth() < config.max_cluster_queue else None)
+        if target is None:  # edge bound hit (or no routable replica)
+            engine.edge_rejected += 1
+            shed(req, now, slo, recorder, reg, "cluster.edge_rejections")
+            return []
+        if target.dispatcher.admit(req, now):
+            ctx = target.dispatcher.trace_ctx(req)
+            if ctx is not None:
+                ctx.child(
+                    "route", start=req.arrival, end=now,
+                    args={"replica": target.rid,
+                          "queue_depth": target.dispatcher.depth()},
+                )
+        return [target]
 
-    while events:
-        now, _, tag, payload = heapq.heappop(events)
-        touched: list[Replica] = []
-        if tag == "arrive":
-            arrivals_remaining -= 1
-            req: Request = payload
-            if fleet_depth() >= config.max_cluster_queue:
-                edge_rejected += 1
-                if slo.enabled:
-                    slo.record_rejection(req, now)
-                if recorder.enabled:
-                    recorder.record_rejection(req, now)
-                    if slo.enabled:
-                        recorder.observe_burn(now, slo.fleet_burn(now))
-                if reg.enabled:
-                    reg.counter("cluster.edge_rejections").inc()
-            else:
-                target = router.route(req, replicas, now)
-                if target is None:  # pragma: no cover - min_replicas >= 1
-                    edge_rejected += 1
-                    if slo.enabled:
-                        slo.record_rejection(req, now)
-                else:
-                    if target.dispatcher.admit(req, now):
-                        ctx = target.dispatcher.trace_ctx(req)
-                        if ctx is not None:
-                            ctx.child(
-                                "route", start=req.arrival, end=now,
-                                args={"replica": target.rid,
-                                      "queue_depth": target.dispatcher.depth()},
-                            )
-                    touched.append(target)
-        elif tag == "finish":
-            rid, (unit, batch) = payload
-            r = replicas[rid]
-            r.dispatcher.on_finish(unit, batch, now)
-            touched.append(r)
-        elif tag == "wake":
-            rid, _ = payload
-            r = replicas[rid]
-            r.dispatcher.on_wake(now)
-            touched.append(r)
-        elif tag == "spawn":
-            r = replicas[payload]
-            if r.state == "provisioning":
-                r.state = "active"
-                note_active(now)
-                touched.append(r)
-        elif tag == "autoscale":
-            run_autoscale(now)
-            touched.extend(r for r in replicas if r.state != "retired")
-            if work_pending():
-                push(now + scaler.interval, "autoscale", None)
-        else:  # pragma: no cover - defensive
-            raise ConfigurationError(f"unknown event tag {tag!r}")
-        for r in touched:
-            r.dispatcher.try_dispatch(now)
-            r.dispatcher.observe_queue(now)
-            retire_if_drained(r, now)
-        cluster_queue_samples.append((now, fleet_depth()))
-        if recorder.enabled and not any(
-            len(r.dispatcher.idle) < r.dispatcher.pool.n_units
-            or not r.dispatcher.batcher.empty()
-            for r in replicas if r.state != "retired"
-        ):
-            # Fleet-wide idle point (cheap unit check first, queue scan
-            # only when every unit is free); cluster bundles are
-            # capture-only, but epochs still bound the arrival capture.
-            recorder.end_event(now, True)
+    def spawn(now: int, rid: int) -> list[Replica]:
+        r = replicas[rid]  # provisioning until now: never routed or drained
+        r.state = "active"
+        note_active(now)
+        return [r]
+
+    def autoscale(now: int, _) -> list[Replica]:
+        run_autoscale(now)
+        if work_pending():
+            engine.push(now + scaler.interval, "autoscale")
+        return [r for r in replicas if r.state != "retired"]
+
+    engine.handlers.update(arrive=arrive, spawn=spawn, autoscale=autoscale)
+    engine.on_retire = retire
+    engine.after_event = lambda now: cluster_queue_samples.append(
+        (now, fleet_depth()))
+    engine.run(requests, [(scaler.interval, "autoscale")] if scaler else [])
+    edge_rejected = engine.edge_rejected
+    scale_events = scaler.events if scaler else []
+    lookups = router.affinity_hits + router.affinity_misses
 
     # -- merge ----------------------------------------------------------------
     merged = MetricsCollector()
@@ -471,22 +397,12 @@ def simulate_cluster(
             "edge_rejected": edge_rejected,
             "replicas_spawned": len(replicas),
             "replicas_final": sum(1 for r in replicas if r.active),
-            "scale_ups": sum(
-                1 for e in (scaler.events if scaler else [])
-                if e.action == "scale_up"
-            ),
-            "scale_downs": sum(
-                1 for e in (scaler.events if scaler else [])
-                if e.action == "scale_down"
-            ),
+            "scale_ups": sum(e.action == "scale_up" for e in scale_events),
+            "scale_downs": sum(e.action == "scale_down" for e in scale_events),
             "interconnect_share": inter_total / lane_total if lane_total else 0.0,
             "interconnect_cycles": inter_total,
-            "affinity_hit_rate": (
-                router.affinity_hits
-                / (router.affinity_hits + router.affinity_misses)
-                if (router.affinity_hits + router.affinity_misses)
-                else 0.0
-            ),
+            "affinity_hit_rate": (router.affinity_hits / lookups
+                                  if lookups else 0.0),
             "shard_plan": spec.plan.describe(),
             "lanes_per_replica": spec.lanes_per_replica,
             "active_sessions_peak_kv_mib": sum(
@@ -555,10 +471,5 @@ def simulate_cluster(
             for bid in r.boards:
                 reg.gauge(f"cluster.board{bid}.replica").set(r.rid)
 
-    return ClusterReport(
-        summary,
-        per_replica,
-        [e.as_dict() for e in (scaler.events if scaler else [])],
-        config,
-        tracer,
-    )
+    return ClusterReport(summary, per_replica,
+                         [e.as_dict() for e in scale_events], config, tracer)

@@ -22,11 +22,12 @@ pay:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.interconnect import DEFAULT_INTERCONNECT, InterconnectModel
 from repro.cluster.sharding import ShardPlan
 from repro.errors import ConfigurationError
+from repro.serve.engine import Replica  # the event engine's fleet member
 
 __all__ = ["ClusterSpec", "Board", "Replica"]
 
@@ -96,40 +97,3 @@ class Board:
     @property
     def free(self) -> bool:
         return self.owner is None
-
-
-@dataclass
-class Replica:
-    """One servable model instance: boards, lanes, dispatcher, lifecycle.
-
-    ``state`` walks ``active`` (routable) -> ``draining`` (finishes its
-    queued/resident work, accepts nothing new) -> ``retired`` (boards
-    freed).  ``dispatcher`` and ``cost`` are attached by the cluster
-    simulator when the replica spawns.
-    """
-
-    rid: int
-    boards: tuple[int, ...]
-    spawned_at: int
-    dispatcher: object = field(default=None, repr=False)
-    cost: object = field(default=None, repr=False)
-    state: str = "active"
-    retired_at: int | None = None
-
-    @property
-    def active(self) -> bool:
-        return self.state == "active"
-
-    def active_span(self, horizon: int) -> int:
-        """Cycles this replica existed (spawn to retirement or horizon)."""
-        end = self.retired_at if self.retired_at is not None else horizon
-        return max(end - self.spawned_at, 0)
-
-    def drained(self) -> bool:
-        """True when no queued items, no resident sessions, all lanes idle."""
-        d = self.dispatcher
-        return (
-            d.depth() == 0
-            and d.active_sessions() == 0
-            and len(d.idle) == d.pool.n_units
-        )

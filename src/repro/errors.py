@@ -41,3 +41,12 @@ class RegistryError(ReproError):
     would make ``get_format``/``get_backend`` resolution depend on import
     order), and when looking up a name that was never registered.
     """
+
+
+class ConservationError(ReproError):
+    """A serving run's accounting invariants failed at drain.
+
+    Raised when arrivals do not equal completions plus rejections, a
+    replica ends with queued work, open KV sessions or busy units, or a
+    replica reports more busy cycles than its active span allows.
+    """

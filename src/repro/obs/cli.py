@@ -94,7 +94,8 @@ def add_profile_parser(subparsers) -> argparse.ArgumentParser:
     return p
 
 
-def _policy(args):
+def policy_from_args(args):
+    """The ``--policy`` precision policy (None = the all-bfp8 schedule)."""
     if getattr(args, "policy", None) is None:
         return None
     from repro.models.policy import load_policy
@@ -102,7 +103,8 @@ def _policy(args):
     return load_policy(args.policy)
 
 
-def _modes(args):
+def modes_from_args(args):
+    """The ``--array-mode``/``--align-predict`` unit-mode options."""
     from repro.cost.modes import ModeOptions
 
     return ModeOptions.parse(
@@ -115,8 +117,8 @@ def _compile(args):
     from repro.models.configs import CONFIGS
     from repro.runtime.scheduler import compile_decoder, compile_vit
 
-    policy = _policy(args)
-    modes = _modes(args)
+    policy = policy_from_args(args)
+    modes = modes_from_args(args)
     if args.model in CONFIGS:
         return compile_vit(CONFIGS[args.model], batch=args.batch,
                            policy=policy, modes=modes)
@@ -135,7 +137,7 @@ def _run_schedule(args) -> int:
     model = _compile(args)
     n = args.units or model.clock.n_units
     rows = model.workload_split(n)
-    policy = _policy(args)
+    policy = policy_from_args(args)
     print(render_table(
         ["partition", "ops", "ops%", "cycles", "latency%"],
         [(r["name"], f"{r['ops']:.3g}", f"{r['ops_pct']:.1f}",
@@ -157,7 +159,7 @@ def _run_schedule(args) -> int:
         summary["policy"] = policy.name
         for mode, cyc in sorted(model.latency_by_mode(n).items()):
             summary[f"latency_cycles.{mode}"] = cyc
-    if _modes(args) is not None:
+    if modes_from_args(args) is not None:
         for unit, cyc in sorted(model.latency_by_unit_mode(n).items()):
             summary[f"unit_mode.{unit}"] = cyc
     print(render_metrics("schedule profile", summary))
@@ -190,8 +192,8 @@ def _run_functional(args) -> int:
     from repro.models.decoder import TinyLM
     from repro.obs.profile import Profiler
 
-    policy = _policy(args)
-    modes = _modes(args)
+    policy = policy_from_args(args)
+    modes = modes_from_args(args)
     if policy is not None:
         backend = PolicyBackend(policy, modes=modes)
     elif modes is not None:

@@ -25,12 +25,7 @@ from pathlib import Path
 from repro.errors import ConfigurationError
 from repro.obs.recorder import FlightRecorder, RecorderConfig
 from repro.obs.slo import NULL_SLO, SLOClass, SLOConfig, SLOTracker
-from repro.serve.dispatcher import (
-    CostModel,
-    ServeConfig,
-    serve_config_from_dict,
-    simulate,
-)
+from repro.serve.dispatcher import serve_config_from_dict, simulate
 from repro.serve.request import Request
 
 __all__ = [
@@ -84,16 +79,13 @@ class SpikedCostModel:
     :class:`~repro.serve.dispatcher.CostModel`, cluster's
     :class:`~repro.cluster.sharding.ShardedCostModel`, anything with
     ``batch_cycles``/``batch_breakdown`` — so ``--inject-spike-*`` now
-    works under ``--cluster`` too.  Passing a :class:`ServeConfig` as
-    the first argument keeps the historical constructor working (it
-    wraps a fresh single-pool ``CostModel``); every attribute of the
-    wrapped model (sharding accumulators, ``cfg``, ...) is delegated.
+    works under ``--cluster`` too.  Every attribute of the wrapped model
+    (sharding accumulators, ``cfg``, ...) is delegated.  The event engine
+    applies it (``simulate(spike=...)``, ``ClusterConfig.spike``).
     """
 
-    def __init__(
-        self, cost: "CostModel | ServeConfig", spike: SpikeInjection
-    ) -> None:
-        self.inner = CostModel(cost) if isinstance(cost, ServeConfig) else cost
+    def __init__(self, cost, spike: SpikeInjection) -> None:
+        self.inner = cost
         self.spike = spike
 
     def _extra(self, batch) -> int:
@@ -152,12 +144,15 @@ def replay_bundle(bundle: dict) -> FlightRecorder:
         raise ConfigurationError(
             f"bundle {bundle.get('id', '?')} has no serve_config capture")
     config = serve_config_from_dict(capture["serve_config"])
-    requests = requests_from_subtrace(bundle["subtrace"]["requests"])
+    try:
+        requests = requests_from_subtrace(bundle["subtrace"]["requests"])
+    except (KeyError, IndexError, TypeError, ValueError) as e:
+        raise ConfigurationError(
+            f"bundle {bundle.get('id', '?')} has a malformed subtrace: {e!r}"
+        ) from e
 
-    cost = None
-    if capture.get("injection"):
-        cost = SpikedCostModel(config,
-                               SpikeInjection.from_dict(capture["injection"]))
+    injection = capture.get("injection")
+    spike = SpikeInjection.from_dict(injection) if injection else None
 
     slo = NULL_SLO
     slo_cfg = capture.get("slo")
@@ -181,7 +176,7 @@ def replay_bundle(bundle: dict) -> FlightRecorder:
         capture=capture,
     )
     recorder.preload_state(bundle)
-    simulate(requests, config, slo=slo, recorder=recorder, cost=cost)
+    simulate(requests, config, slo=slo, recorder=recorder, spike=spike)
     return recorder
 
 

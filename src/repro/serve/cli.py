@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
+from repro.obs.cli import modes_from_args, policy_from_args
 from repro.serve.batcher import BatchPolicy
 from repro.serve.dispatcher import ServeConfig, ServeReport, simulate
 from repro.serve.request import TrafficConfig, poisson_trace
@@ -153,7 +154,7 @@ def add_serve_sim_parser(subparsers) -> argparse.ArgumentParser:
                      help="fault injection: batches whose newest item is "
                           "ready inside the window starting here (simulated "
                           "us) run slower — a deterministic latency spike "
-                          "for exercising triggers (single-node mode only)")
+                          "for exercising triggers")
     rec.add_argument("--inject-spike-duration-us", type=float, default=500.0,
                      help="spike window length, us (default 500)")
     rec.add_argument("--inject-spike-extra-us", type=float, default=2000.0,
@@ -204,24 +205,6 @@ def add_serve_sim_parser(subparsers) -> argparse.ArgumentParser:
     cluster.add_argument("--diurnal-amplitude", type=float, default=0.9,
                          help="diurnal swing as a fraction of the mean rate")
     return p
-
-
-def _precision(args):
-    if getattr(args, "policy", None) is None:
-        return None
-    from repro.models.policy import load_policy
-
-    return load_policy(args.policy)
-
-
-def _modes(args):
-    """The run's unit-mode options (None = historical cost model)."""
-    from repro.cost import ModeOptions
-
-    return ModeOptions.parse(
-        getattr(args, "array_mode", None),
-        align_narrow_frac=getattr(args, "align_predict", None),
-    )
 
 
 def _slo_tracker(args):
@@ -363,43 +346,40 @@ def _config(args, max_batch: int) -> ServeConfig:
                            vit_max_batch=args.vit_max_batch),
         max_queue=args.max_queue,
         max_sessions_per_unit=args.max_sessions,
-        precision=_precision(args),
-        modes=_modes(args),
+        precision=policy_from_args(args),
+        modes=modes_from_args(args),
         compiled=getattr(args, "compiled", True),
     )
 
 
+def _tracer(args, **meta):
+    """The run's Perfetto tracer (the null object unless --trace-out)."""
+    from repro.obs.tracer import NULL_TRACER, Tracer
+
+    if args.trace_out is None:
+        return NULL_TRACER
+    return Tracer(meta={"seed": args.seed, "requests": args.requests,
+                        "rate_rps": args.rate, **meta})
+
+
 def run_serve_sim(args) -> int:
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.tracer import NULL_TRACER, Tracer
 
     if args.cluster:
         return _run_cluster_sim(args)
     traffic = TrafficConfig(rate_rps=args.rate, vit_fraction=args.vit_frac)
     trace = poisson_trace(args.requests, traffic, seed=args.seed)
-    tracer = NULL_TRACER
-    if args.trace_out is not None:
-        tracer = Tracer(meta={
-            "seed": args.seed,
-            "requests": args.requests,
-            "rate_rps": args.rate,
-            "max_batch": args.max_batch,
-            "clock_freq_hz": _config(args, args.max_batch).clock.freq_hz,
-        })
-    registry = MetricsRegistry() if args.metrics_out is not None else None
     config = _config(args, args.max_batch)
+    tracer = _tracer(args, max_batch=args.max_batch,
+                     clock_freq_hz=config.clock.freq_hz)
+    registry = MetricsRegistry() if args.metrics_out is not None else None
     slo = _slo_tracker(args)
     spike = _spike(args, config)
-    cost = None
-    if spike is not None:
-        from repro.obs.incident_cli import SpikedCostModel
-
-        cost = SpikedCostModel(config, spike)
     recorder = _recorder(args, config, tracer, slo, spike)
     report: ServeReport = simulate(trace, config,
                                    tracer=tracer, registry=registry,
                                    slo=slo, path=_path_config(args),
-                                   recorder=recorder, cost=cost)
+                                   recorder=recorder, spike=spike)
     print(report.render(
         f"serve-sim: {args.requests} requests, rate {args.rate:g}/s, "
         f"seed {args.seed}, max_batch {args.max_batch}"
@@ -421,23 +401,7 @@ def run_serve_sim(args) -> int:
             if ref[key]:
                 print(f"dynamic batching {key} speedup: "
                       f"{got[key] / ref[key]:.2f}x")
-    json_out = args.json_out if args.json_out is not None else args.json
-    if json_out is not None:
-        json_out.write_text(report.to_json() + "\n")
-    if args.trace_out is not None:
-        args.trace_out.write_text(tracer.to_json() + "\n")
-        print(f"trace written to {args.trace_out} "
-              f"({len(tracer.spans)} spans, {len(tracer.counters)} counter "
-              "samples; open in ui.perfetto.dev)")
-    if args.metrics_out is not None:
-        if args.metrics_format == "prom":
-            args.metrics_out.write_text(registry.to_prom_text())
-        else:
-            args.metrics_out.write_text(registry.to_json() + "\n")
-    if args.slo_out is not None:
-        _write_slo_out(args, report.summary)
-    if recorder.enabled:
-        _print_recorder_summary(args, recorder, report.summary)
+    _write_outputs(args, report, tracer, registry, recorder)
     if args.numerics_out is not None:
         _write_serving_numerics(trace, args)
     return 0
@@ -453,7 +417,6 @@ def _run_cluster_sim(args) -> int:
         simulate_cluster,
     )
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.tracer import NULL_TRACER, Tracer
     from repro.serve.request import DiurnalConfig, diurnal_trace
 
     traffic = TrafficConfig(rate_rps=args.rate, vit_fraction=args.vit_frac)
@@ -498,16 +461,8 @@ def _run_cluster_sim(args) -> int:
         spike=spike,
     )
 
-    tracer = NULL_TRACER
-    if args.trace_out is not None:
-        tracer = Tracer(meta={
-            "seed": args.seed,
-            "requests": args.requests,
-            "rate_rps": args.rate,
-            "boards": args.boards,
-            "plan": spec.plan.describe(),
-            "clock_freq_hz": config.serve.clock.freq_hz,
-        })
+    tracer = _tracer(args, boards=args.boards, plan=spec.plan.describe(),
+                     clock_freq_hz=config.serve.clock.freq_hz)
     registry = MetricsRegistry() if args.metrics_out is not None else None
     slo = _slo_tracker(args)
     recorder = _recorder(args, config.serve, tracer, slo, spike, cluster=True)
@@ -521,6 +476,12 @@ def _run_cluster_sim(args) -> int:
         f"serve-sim --cluster: {args.requests} requests, rate "
         f"{args.rate:g}/s, seed {args.seed}, {shape}"
     ))
+    _write_outputs(args, report, tracer, registry, recorder)
+    return 0
+
+
+def _write_outputs(args, report, tracer, registry, recorder) -> None:
+    """The ``--*-out`` artifacts and recorder summary of either mode."""
     json_out = args.json_out if args.json_out is not None else args.json
     if json_out is not None:
         json_out.write_text(report.to_json() + "\n")
@@ -538,7 +499,6 @@ def _run_cluster_sim(args) -> int:
         _write_slo_out(args, report.summary)
     if recorder.enabled:
         _print_recorder_summary(args, recorder, report.summary)
-    return 0
 
 
 def _print_precision_split(config: ServeConfig) -> None:
@@ -593,7 +553,7 @@ def _write_serving_numerics(trace, args) -> None:
 
     llm = [r for r in trace if r.kind == "llm"][: args.numerics_requests]
     model = TinyLM(seed=args.seed)
-    precision = _precision(args)
+    precision = policy_from_args(args)
     if precision is not None:
         backend = PolicyBackend(precision)
     else:

@@ -12,17 +12,17 @@ Flow control is preemption-free: a bounded intake queue sheds new arrivals
 with a 503-style rejection once full, and per-unit KV session slots
 throttle prefill dispatch (backpressure, never eviction of live sessions).
 
-Since the cluster refactor the engine is split in two:
+Two pieces live here:
 
 * :class:`Dispatcher` — *one replica's* serving state machine (batcher,
   session table, cost model, idle-unit set) over an externally-owned
-  :class:`~repro.hw.system.UnitPool` handle and an externally-owned event
-  heap (a ``push(t, tag, payload)`` sink).  It never owns the pool or the
-  clock of the simulation, so a driver can run one of them (classic
-  single-board serving) or a fleet of them (``repro.cluster``).
-* :func:`simulate` — the historical single-pool driver: builds one pool,
-  one dispatcher, and runs the event loop.  Its output is bit-identical
-  to the pre-refactor monolithic loop for any seed/trace.
+  :class:`~repro.hw.system.UnitPool` and an externally-owned event sink.
+  It never owns the pool or the clock of the simulation.
+* :func:`simulate` — the single-pool entry: one pool, one dispatcher, run
+  as a one-replica fleet on the shared :class:`~repro.serve.engine.
+  EventEngine` (the same loop :mod:`repro.cluster` runs a fleet on).  Its
+  output is bit-identical to the pre-refactor monolithic loop for any
+  seed/trace.
 
 The whole simulation is deterministic: integer cycle time, a seeded trace,
 and a (time, sequence) event order with no wall-clock reads.
@@ -30,9 +30,7 @@ and a (time, sequence) event order with no wall-clock reads.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, fields
 
 from repro.cost import ModeOptions, PolicyCostModel
 from repro.errors import ConfigurationError
@@ -52,6 +50,7 @@ from repro.obs.tracer import (
 from repro.perf.memory import DEFAULT_MEMORY, MemoryModel
 from repro.perf.throughput import DEFAULT_CLOCK, ClockConfig
 from repro.serve.batcher import Batch, BatchPolicy, DynamicBatcher
+from repro.serve.engine import EventEngine, EventSink, Replica, shed
 from repro.serve.metrics import MetricsCollector
 from repro.serve.request import PhaseItem, Request
 from repro.serve.sessions import SessionTable
@@ -66,10 +65,6 @@ __all__ = [
     "serve_config_to_dict",
     "serve_config_from_dict",
 ]
-
-#: Event sink signature: ``push(cycle, tag, payload)``.
-EventSink = Callable[[int, str, object], None]
-
 
 @dataclass(frozen=True)
 class ModelProfile:
@@ -196,17 +191,12 @@ class Dispatcher:
     The dispatcher holds the per-replica state — dynamic batcher, KV
     session table, cost model, idle-unit set, metrics collector — but
     takes its :class:`~repro.hw.system.UnitPool` and its event sink from
-    the driver.  Events it emits through ``push``:
-
-    * ``("finish", (unit, batch))`` at a batch's completion cycle;
-    * ``("wake", None)`` at the next batch-window expiry while units
-      idle on a non-empty queue.
-
-    The driver routes those events back into :meth:`on_finish` /
-    :meth:`on_wake` and calls :meth:`try_dispatch` + :meth:`observe_queue`
-    after every event it processes for this replica.  A cluster driver
-    wraps ``push`` to tag events with the replica identity; the dispatcher
-    itself is replica-agnostic.
+    the :class:`~repro.serve.engine.EventEngine`.  It pushes ``finish``
+    ``(unit, batch)`` at a batch's completion cycle and ``wake`` at the
+    next batch-window expiry while units idle on a non-empty queue; the
+    engine routes them back to :meth:`on_finish` / :meth:`on_wake` and
+    calls :meth:`try_dispatch` + :meth:`observe_queue` after every event
+    that touches this replica.
 
     ``track_prefix`` namespaces tracer tracks (``r3.unit7`` in cluster
     runs, bare ``unit7`` in single-pool runs).  ``cost`` lets the cluster
@@ -231,7 +221,6 @@ class Dispatcher:
         push: EventSink,
         *,
         cost: CostModel | None = None,
-        metrics: MetricsCollector | None = None,
         tracer: Tracer = NULL_TRACER,
         registry: MetricsRegistry | None = None,
         track_prefix: str = "",
@@ -251,7 +240,7 @@ class Dispatcher:
             kv_bytes_per_token=config.profile.kv_bytes_per_token,
         )
         self.cost = cost if cost is not None else CostModel(config)
-        self.metrics = metrics if metrics is not None else MetricsCollector()
+        self.metrics = MetricsCollector()
         self.tracer = tracer
         self.registry = get_registry() if registry is None else registry
         self.track_prefix = track_prefix
@@ -260,10 +249,9 @@ class Dispatcher:
         self.processes = processes
         self.metric_prefix = metric_prefix
         self.recorder = recorder
-        if recorder.enabled:
-            # Lets record_dispatch compute batch fill lazily (only when
-            # the occupancy detector is configured on).
-            recorder.bind_policy(config.policy)
+        # Lets record_dispatch compute batch fill lazily (only when the
+        # occupancy detector is configured on).
+        recorder.bind_policy(config.policy)
         self.idle = set(range(pool.n_units))
         #: (phase, batch size) -> dispatch count.  First hit per key is
         #: the trace (plan build), the rest are replays — the serving
@@ -285,21 +273,11 @@ class Dispatcher:
         Records the arrival either way; returns ``True`` when admitted.
         """
         self.metrics.record_arrival(req)
-        if self.recorder.enabled:
-            self.recorder.record_arrival(req, now)
+        self.recorder.record_arrival(req, now)
         if self.batcher.depth() >= self.config.max_queue:
             self.metrics.record_rejection(req)
-            if self.slo.enabled:
-                self.slo.record_rejection(req, now)
-            if self.recorder.enabled:
-                self.recorder.record_rejection(req, now)
-                if self.slo.enabled:
-                    self.recorder.observe_burn(
-                        now, self.slo.fleet_burn(now))
-            if self.registry.enabled:
-                self.registry.counter(
-                    f"{self.metric_prefix}serve.rejections"
-                ).inc()
+            shed(req, now, self.slo, self.recorder, self.registry,
+                 f"{self.metric_prefix}serve.rejections")
             return False
         self.enqueue(req, now)
         if self.recorder.enabled:
@@ -322,8 +300,7 @@ class Dispatcher:
         return self._ctx.get(req.rid)
 
     def enqueue(self, req: Request, now: int) -> None:
-        """Queue a request's first phase item without an admission check
-        (the cluster edge does its own admission before routing here)."""
+        """Queue a request's first phase item without an admission check."""
         phase = "vit" if req.kind == "vit" else "prefill"
         self.batcher.add(PhaseItem(req, phase, ready=now,
                                    context=req.prompt_tokens))
@@ -369,8 +346,7 @@ class Dispatcher:
                     ).observe(
                         batch.size / self.config.policy.batch_limit(batch.phase)
                     )
-                if self.recorder.enabled:
-                    self.recorder.record_dispatch(now, batch, u, plan_new)
+                self.recorder.record_dispatch(now, batch, u, plan_new)
                 if self.tracer.enabled:
                     self.tracer.span(
                         f"{batch.phase}x{batch.size}",
@@ -457,9 +433,8 @@ class Dispatcher:
         depth = self.batcher.depth()
         self.metrics.record_queue_depth(now, depth)
         if depth != self._last_depth:
-            if self.tracer.enabled:
-                self.tracer.counter(f"{self.track_prefix}queue_depth",
-                                    cycle=now, value=depth)
+            self.tracer.counter(f"{self.track_prefix}queue_depth",
+                                cycle=now, value=depth)
             self._last_depth = depth
         if self.registry.enabled:
             self.registry.histogram(
@@ -469,8 +444,7 @@ class Dispatcher:
     # -- request lifecycle ----------------------------------------------------
     def _complete_request(self, req: Request, now: int) -> None:
         self.metrics.record_completion(req, now)
-        if self.slo.enabled:
-            self.slo.record_completion(req, now)
+        self.slo.record_completion(req, now)
         if self.recorder.enabled:
             self.recorder.record_completion(
                 req, now, req.deadline is not None and now > req.deadline)
@@ -531,12 +505,13 @@ def simulate(
     slo: SLOTracker = NULL_SLO,
     path: RequestPathConfig | None = None,
     recorder: FlightRecorder = NULL_RECORDER,
-    cost: CostModel | None = None,
+    spike: object | None = None,
 ) -> ServeReport:
     """Run the open-loop serving simulation over a request trace.
 
-    The single-pool driver: one :class:`~repro.hw.system.UnitPool`, one
-    :class:`Dispatcher`, one event heap.  ``tracer`` (default: the no-op
+    The single-pool entry: one :class:`~repro.hw.system.UnitPool` and one
+    :class:`Dispatcher`, run as a one-replica fleet on the shared
+    :class:`~repro.serve.engine.EventEngine`.  ``tracer`` (default: the no-op
     :data:`NULL_TRACER`) records the run as per-unit dispatch spans,
     per-request async spans and a queue-depth counter series, all in
     simulated cycles — export with ``report.tracer.to_json()``.
@@ -545,48 +520,25 @@ def simulate(
     KV pressure).  ``slo`` (default: disabled) adds per-class deadline
     budgets/burn rates to the summary under ``"slo"``; ``path`` (default:
     off) turns on request-path stage decomposition in the trace.
+    ``spike`` (a :class:`~repro.obs.incident_cli.SpikeInjection`, or
+    ``None``) injects a deterministic latency fault into the cost model.
     """
     clock = config.clock
     pool = UnitPool(clock.n_units)
     reg = get_registry() if registry is None else registry
+    engine = EventEngine(recorder=recorder, spike=spike)
+    d = Dispatcher(config, pool, engine.sink(0),
+                   cost=engine.priced(CostModel(config)), tracer=tracer,
+                   registry=reg, slo=slo, path=path, recorder=recorder)
+    solo = Replica(0, (), spawned_at=0, dispatcher=d)
+    engine.replicas.append(solo)
 
-    events: list[tuple[int, int, str, object]] = []
-    seq = 0
+    def arrive(now: int, req: Request) -> tuple[Replica]:
+        d.admit(req, now)  # the single pool: no edge bound, no router
+        return (solo,)
 
-    def push(t: int, tag: str, payload: object = None) -> None:
-        nonlocal seq
-        heapq.heappush(events, (t, seq, tag, payload))
-        seq += 1
-
-    d = Dispatcher(config, pool, push, tracer=tracer, registry=reg,
-                   slo=slo, path=path, recorder=recorder, cost=cost)
-
-    for r in sorted(requests, key=lambda r: (r.arrival, r.rid)):
-        push(r.arrival, "arrive", r)
-
-    now = 0
-    rec_on = recorder.enabled
-    n_units = pool.n_units
-    while events:
-        now, _, tag, payload = heapq.heappop(events)
-        if tag == "arrive":
-            d.admit(payload, now)
-        elif tag == "finish":
-            unit, batch = payload
-            d.on_finish(unit, batch, now)
-        elif tag == "wake":
-            d.on_wake(now)
-        else:  # pragma: no cover - defensive
-            raise ConfigurationError(f"unknown event tag {tag!r}")
-        d.try_dispatch(now)
-        d.observe_queue(now)
-        if rec_on and len(d.idle) == n_units and d.batcher.empty():
-            # An idle point — empty batcher, all units free — is the
-            # recorder's capture-epoch boundary (deterministic replay
-            # re-simulates exactly one epoch from its arrival rows).
-            # Non-idle events need no hook at all, so the common busy
-            # case costs two attribute reads and a length check.
-            recorder.end_event(now, True)
+    engine.handlers["arrive"] = arrive
+    now = engine.run(requests)
 
     busy = d.busy_cycles
     if reg.enabled:
@@ -643,21 +595,56 @@ def serve_config_to_dict(config: ServeConfig) -> dict:
     }
 
 
+#: Snapshot field type name -> accepted JSON value types.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,),
+               "str": (str,)}
+
+
+def _section(cls, doc, where: str, **nested):
+    """Build dataclass ``cls`` from one snapshot section, exactly: every
+    field present, none unknown, each scalar of its declared type
+    (``nested`` supplies the already-built non-scalar fields)."""
+    types = {f.name: f.type for f in fields(cls)}
+    if not isinstance(doc, dict) or set(doc) != set(types):
+        raise ConfigurationError(
+            f"serve config: {where} must be an object with exactly the "
+            f"fields {sorted(types)}, got "
+            f"{sorted(doc) if isinstance(doc, dict) else doc!r}")
+    for name, value in doc.items():
+        want = _JSON_TYPES.get(types[name], ())
+        if name not in nested and (not isinstance(value, want) or (
+                isinstance(value, bool) and bool not in want)):
+            raise ConfigurationError(
+                f"serve config: {where}.{name} must be {types[name]}, "
+                f"got {value!r}")
+    return cls(**{**doc, **nested})
+
+
 def serve_config_from_dict(doc: dict) -> ServeConfig:
-    """Rebuild a :class:`ServeConfig` from its snapshot dict."""
-    profile = dict(doc["profile"])
-    vit = ViTConfig(**profile.pop("vit"))
-    precision = doc.get("precision")
-    return ServeConfig(
-        profile=ModelProfile(vit=vit, **profile),
-        policy=BatchPolicy(**doc["policy"]),
-        max_queue=doc["max_queue"],
-        max_sessions_per_unit=doc["max_sessions_per_unit"],
-        clock=ClockConfig(**doc["clock"]),
-        mem=MemoryModel(**doc["mem"]),
-        precision=(PrecisionPolicy.from_dict(precision)
-                   if precision else None),
-        modes=(ModeOptions.from_dict(doc["modes"])
-               if doc.get("modes") else None),
-        compiled=doc.get("compiled", True),
+    """Rebuild a :class:`ServeConfig` from its snapshot dict.
+
+    A malformed snapshot (a missing or unknown section or field, a value
+    of the wrong type) raises :class:`~repro.errors.ConfigurationError`.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"serve config must be an object, got {doc!r}")
+    doc = {"precision": None, "modes": None, "compiled": True, **doc}
+    profile, vit = doc.get("profile"), {}
+    if isinstance(profile, dict) and "vit" in profile:
+        vit["vit"] = _section(ViTConfig, profile["vit"], "profile.vit")
+    try:
+        precision = (PrecisionPolicy.from_dict(doc["precision"])
+                     if doc["precision"] else None)
+        modes = ModeOptions.from_dict(doc["modes"]) if doc["modes"] else None
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise ConfigurationError(
+            f"serve config: malformed precision/modes section: {e!r}") from e
+    return _section(
+        ServeConfig, doc, "serve_config",
+        profile=_section(ModelProfile, profile, "profile", **vit),
+        policy=_section(BatchPolicy, doc.get("policy"), "policy"),
+        clock=_section(ClockConfig, doc.get("clock"), "clock"),
+        mem=_section(MemoryModel, doc.get("mem"), "mem"),
+        precision=precision,
+        modes=modes,
     )

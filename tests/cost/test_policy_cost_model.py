@@ -68,15 +68,15 @@ SPIKE = SpikeInjection(start_cycle=0, end_cycle=10**12, extra_cycles=5000)
 COLD = SpikeInjection(start_cycle=10**14, end_cycle=10**15, extra_cycles=5000)
 
 
-def test_spike_wraps_serve_config_compat():
-    # The historical constructor: ServeConfig first argument.
-    spiked = SpikedCostModel(ServeConfig(), SPIKE)
-    assert isinstance(spiked.inner, CostModel)
+def test_spike_wraps_serve_cost_model():
+    cost = CostModel(ServeConfig())
+    spiked = SpikedCostModel(cost, SPIKE)
+    assert spiked.inner is cost
     batch = make_batch("decode", 8, 128)
-    base = CostModel(ServeConfig()).batch_cycles(batch)
+    base = cost.batch_cycles(batch)
     assert spiked.batch_cycles(batch) == base + 5000
     # Outside the window the wrapper is transparent.
-    assert SpikedCostModel(ServeConfig(), COLD).batch_cycles(batch) == base
+    assert SpikedCostModel(cost, COLD).batch_cycles(batch) == base
 
 
 def test_spike_wraps_sharded_cost_model():

@@ -330,3 +330,27 @@ def test_cli_serve_sim_prom_metrics_and_numerics(tmp_path):
     doc = validate_report(json.loads(numerics_out.read_text()))
     assert doc["config"]["model"] == "tinylm-serve-replay"
     assert "numerics report written to" in proc.stdout
+
+
+def test_cli_incident_replay_rejects_malformed_bundle(tmp_path):
+    """A bundle whose serve-config capture is malformed is a clean
+    configuration error (exit 2), not a traceback."""
+    from repro.serve.dispatcher import ServeConfig, serve_config_to_dict
+
+    serve_config = serve_config_to_dict(ServeConfig())
+    serve_config["policy"]["bogus"] = 1
+    bundle = {
+        "id": "inc-000",
+        "replay": {"supported": True},
+        "capture": {"serve_config": serve_config},
+        "subtrace": {"requests": []},
+    }
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(bundle))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "incident-replay", str(path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    assert "policy" in proc.stdout
