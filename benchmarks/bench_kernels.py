@@ -22,7 +22,7 @@ from repro.arith.fp_align_add import aligned_add
 from repro.arith.fp_sliced import sliced_multiply
 from repro.formats.bfp8 import quantize_tiles
 from repro.formats.blocking import BfpMatrix
-from repro.models.backend import BFP8MixedBackend
+from repro.models.backend import get_backend
 from repro.models.decoder import TinyLM
 from repro.perf.prepared import PreparedOperandCache, get_cache, set_cache
 
@@ -89,7 +89,7 @@ def _decode_tokens_per_sec(
     step — where the compiled path traces its plan — runs before the
     clock starts, matching the trace-once/replay-many deployment shape.
     """
-    backend = BFP8MixedBackend()
+    backend = get_backend("bfp8-mixed")
     caches = model.init_cache()
     logits = model.forward_step(1, 0, caches, backend, compiled=compiled)
     t0 = time.perf_counter()

@@ -26,7 +26,10 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
+
+from repro.errors import ConfigurationError, RegistryError
 
 
 def _run_report(args) -> int:
@@ -104,23 +107,23 @@ def main() -> None:
     add_incident_report_parser(subparsers)
 
     args = parser.parse_args()
-    if args.command == "serve-sim":
-        raise SystemExit(run_serve_sim(args))
-    if args.command == "profile":
-        raise SystemExit(run_profile(args))
-    if args.command == "align-predict":
-        raise SystemExit(run_align_predict(args))
-    if args.command == "numerics-report":
-        raise SystemExit(run_numerics_report(args))
-    if args.command == "slo-report":
-        raise SystemExit(run_slo_report(args))
-    if args.command == "bench-gate":
-        raise SystemExit(run_bench_gate(args))
-    if args.command == "incident-replay":
-        raise SystemExit(run_incident_replay(args))
-    if args.command == "incident-report":
-        raise SystemExit(run_incident_report(args))
-    raise SystemExit(_run_report(args))
+    run = {
+        "serve-sim": run_serve_sim,
+        "profile": run_profile,
+        "align-predict": run_align_predict,
+        "numerics-report": run_numerics_report,
+        "slo-report": run_slo_report,
+        "bench-gate": run_bench_gate,
+        "incident-replay": run_incident_replay,
+        "incident-report": run_incident_report,
+    }.get(args.command, _run_report)
+    try:
+        code = run(args)
+    except (ConfigurationError, RegistryError) as e:
+        # Malformed configuration is a usage error: one line, no traceback.
+        print(f"repro: error: {e}", file=sys.stderr)
+        code = 2
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -36,10 +36,12 @@ class ConfigurationError(ReproError):
 class RegistryError(ReproError):
     """A name-keyed registry was misused.
 
-    Raised when registering a quantization format, backend factory, or
-    policy preset under a name that is already taken (silent overwrite
-    would make ``get_format``/``get_backend`` resolution depend on import
-    order), and when looking up a name that was never registered.
+    Raised when registering a quantization format or policy preset under
+    a name that is already taken (silent overwrite would make
+    ``get_format``/``get_policy`` resolution depend on import order), and
+    when looking up a name that is neither registered nor a parametric
+    family member — an unknown ``get_backend``/``--backend`` regime name
+    included.
     """
 
 

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.eval.reporting import header, render_table
-from repro.models.backend import BACKENDS, get_backend
+from repro.models.backend import get_backend
 from repro.models.data import additive_lm_sequences
 from repro.models.decoder import TinyLM
+from repro.models.policy import REGIMES
 from repro.models.training import next_token_accuracy, train_lm
 
 __all__ = ["DecoderConfig", "run_decoder_study", "run"]
@@ -54,7 +55,7 @@ def run_decoder_study(cfg: DecoderConfig = DecoderConfig()):
                       seed=cfg.seed + 2)
     test = data.tokens[split:]
     rows = []
-    for name in BACKENDS:
+    for name in REGIMES:
         acc = next_token_accuracy(lm, test, get_backend(name))
         rows.append({"backend": name, "next_token_accuracy": acc})
     # Greedy generation fidelity under the paper's regime.

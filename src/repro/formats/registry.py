@@ -139,17 +139,12 @@ class FP32Format(QuantFormat):
 class BfpFormat(QuantFormat):
     """Block floating point: 8x8 blocks, shared exponent, ``man_bits``
     mantissas — the paper's systolic-array number format.
-
-    ``exact_accumulate`` replaces the hardware's truncating cross-block
-    alignment with exact accumulation (ablation knob; such instances are
-    constructed directly, not through the registry).
     """
 
     array_mode = "bfp8_mac"
 
-    def __init__(self, man_bits: int = 8, *, exact_accumulate: bool = False) -> None:
+    def __init__(self, man_bits: int = 8) -> None:
         self.man_bits = int(man_bits)
-        self.exact_accumulate = bool(exact_accumulate)
         self.name = f"bfp{self.man_bits}"
         self.precision = f"bfp{self.man_bits}"
 
@@ -195,9 +190,7 @@ class BfpFormat(QuantFormat):
         mon = get_monitor()
         if mon.enabled:
             mon.observe_bfp("activation", x, am, man_bits=self.man_bits)
-        return bfp_matmul_prepared(
-            am, wm, exact_accumulate=self.exact_accumulate
-        ).astype(np.float32)
+        return bfp_matmul_prepared(am, wm).astype(np.float32)
 
     def matmul_batched(self, a, b, record: Recorder | None = None) -> np.ndarray:
         from repro.arith.bfp_matmul import bfp_batched_tiles, bfp_matmul_from_tiles
@@ -214,9 +207,7 @@ class BfpFormat(QuantFormat):
                 "activation", a, a_man, a_exp, man_bits=self.man_bits
             )
             mon.observe_bfp_tiles("kv", b, b_man, b_exp, man_bits=self.man_bits)
-        return bfp_matmul_from_tiles(
-            *tiles, exact_accumulate=self.exact_accumulate
-        ).astype(np.float32)
+        return bfp_matmul_from_tiles(*tiles).astype(np.float32)
 
     def nonlinear(self, kind, fn, x) -> np.ndarray:
         return self.snap(fn(self.snap(x)))
@@ -367,21 +358,19 @@ class IBertFormat(IntFormat):
 
     Linear algebra is plain ``int{bits}``; softmax/GELU/LayerNorm run as
     *integer-arithmetic* programs (second-order polynomial exp/erf,
-    Newton integer sqrt) on an ``int{act_bits}`` activation grid instead
-    of the fp32 vector personality.
+    Newton integer sqrt) on an ``int{bits}`` activation grid instead of
+    the fp32 vector personality.
     """
 
-    def __init__(self, bits: int = 8, act_bits: int = 8) -> None:
+    def __init__(self, bits: int = 8) -> None:
         super().__init__(bits=bits)
-        self.act_bits = int(act_bits)
         self.name = "ibert"
-        self.precision = f"int{self.act_bits}"
 
     def nonlinear(self, kind, fn, x) -> np.ndarray:
         from repro.formats.int8q import quantize_intn
         from repro.models.integer_nonlinear import i_gelu, i_softmax, i_sqrt
 
-        xq = quantize_intn(x, self.act_bits)
+        xq = quantize_intn(x, self.bits)
         q = xq.values.astype(np.int64).reshape(x.shape)
         scale = xq.scale
         if kind == "softmax":
@@ -406,14 +395,14 @@ class IBertFormat(IntFormat):
         # Unknown non-linearity (e.g. swiglu): integer pipelines have no
         # program for it; fall back to quantize-evaluate-quantize.
         y = fn((q * scale).astype(np.float32))
-        yq = quantize_intn(y, self.act_bits)
+        yq = quantize_intn(y, self.bits)
         return yq.decode().reshape(y.shape).astype(np.float32)
 
     def requantize(self, x) -> np.ndarray:
         from repro.formats.int8q import quantize_intn
 
         return (
-            quantize_intn(x, self.act_bits).decode().reshape(x.shape)
+            quantize_intn(x, self.bits).decode().reshape(x.shape)
             .astype(np.float32)
         )
 

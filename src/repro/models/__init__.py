@@ -1,19 +1,7 @@
 """Transformer substrate: layers, ViT/DeiT, op counting, quantized inference."""
 
 from repro.models.attention import MultiHeadSelfAttention
-from repro.models.backend import (
-    BACKENDS,
-    BFP8AllBackend,
-    BFP8MixedBackend,
-    ComputeBackend,
-    FP32Backend,
-    IBERTBackend,
-    INT8AllBackend,
-    INT8LinearBackend,
-    PolicyBackend,
-    get_backend,
-    register_backend,
-)
+from repro.models.backend import ComputeBackend, PolicyBackend, get_backend
 from repro.models.configs import CONFIGS, DEIT_BASE, DEIT_SMALL, DEIT_TINY, ViTConfig
 from repro.models.data import (
     TASKS,
@@ -36,6 +24,7 @@ from repro.models.layers import (
 )
 from repro.models.policy import (
     POLICY_PRESETS,
+    REGIMES,
     ROLES,
     PolicyRule,
     PrecisionPolicy,
@@ -81,9 +70,6 @@ from repro.models.vit import (
 
 __all__ = [
     "Adam",
-    "BACKENDS",
-    "BFP8AllBackend",
-    "BFP8MixedBackend",
     "CONFIGS",
     "ComputeBackend",
     "DEIT_BASE",
@@ -105,15 +91,11 @@ __all__ = [
     "next_token_accuracy",
     "train_lm",
     "Embedding",
-    "FP32Backend",
     "GELU",
-    "IBERTBackend",
-    "INT8AllBackend",
     "i_exp",
     "i_gelu",
     "i_softmax",
     "i_sqrt",
-    "INT8LinearBackend",
     "LayerNorm",
     "Linear",
     "LinearOpCounts",
@@ -127,6 +109,7 @@ __all__ = [
     "PolicyBackend",
     "PolicyRule",
     "PrecisionPolicy",
+    "REGIMES",
     "ROLES",
     "RegimeResult",
     "SequenceClassifier",
@@ -151,7 +134,6 @@ __all__ = [
     "needle_task",
     "nonlinear_flops_per_element",
     "quantize_int8",
-    "register_backend",
     "register_policy_preset",
     "softmax",
     "table4_partitions",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.models.backend import ComputeBackend, FP32Backend
+from repro.models.backend import ComputeBackend, get_backend
 from repro.models.layers import Linear, Module, Softmax
 
 __all__ = ["MultiHeadSelfAttention"]
@@ -41,7 +41,7 @@ class MultiHeadSelfAttention(Module):
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
-        backend = backend or FP32Backend()
+        backend = backend or get_backend("fp32")
         b, n, d = x.shape
         h, hd = self.n_heads, self.head_dim
         qkv = self.qkv.forward(x, backend)  # (b, n, 3d)
@@ -90,7 +90,7 @@ class MultiHeadSelfAttention(Module):
         """
         if not self.causal:
             raise ConfigurationError("forward_step requires causal attention")
-        backend = backend or FP32Backend()
+        backend = backend or get_backend("fp32")
         b, n, d = x.shape
         if n != 1:
             raise ConfigurationError("forward_step consumes exactly one token")

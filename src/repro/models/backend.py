@@ -12,24 +12,26 @@ A backend supplies two primitives:
   layernorm internals) is evaluated: exactly, or squeezed through a
   quantization grid first.
 
-Since the format-registry refactor there is a single arithmetic engine:
+There is a single arithmetic engine and a single regime registry:
 :class:`PolicyBackend` resolves every operation through a
 :class:`~repro.models.policy.PrecisionPolicy` — (layer scope path,
 tensor role) -> a :class:`~repro.formats.registry.QuantFormat` — so one
 model forward can run attention in bfp8, the MLP in minifloat fp8 and
-the non-linear functions in exact fp32.  The historical one-class-per-
-format backends survive as thin aliases that construct the equivalent
-single-format policies, bit-identical to their pre-refactor behaviour:
+the non-linear functions in exact fp32.  A regime is named by its
+policy: :func:`get_backend` is ``PolicyBackend(get_policy(name))``, so
+every :data:`~repro.models.policy.POLICY_PRESETS` entry and parametric
+family (``bfp4-mixed``, ``int6-all``, ...) is a backend name.  The
+paper's comparison regimes (:data:`~repro.models.policy.REGIMES`):
 
-``FP32Backend``        float32 everywhere (reference).
-``BFP8MixedBackend``   the paper's regime: bfp8 linear + fp32 non-linear.
-``BFP8AllBackend``     ablation: non-linear inputs/outputs also pass
-                       through the bfp8 grid.
-``INT8LinearBackend``  int8 per-tensor linear + fp32 non-linear.
-``INT8AllBackend``     conventional int8 inference: non-linear tensors are
-                       also snapped to the int8 grid (what an integer-only
-                       accelerator without retraining does).
-``IBERTBackend``       int8 linear + I-BERT integer non-linear programs.
+``fp32``         float32 everywhere (reference).
+``bfp8-mixed``   the paper's regime: bfp8 linear + fp32 non-linear.
+``bfp8-all``     ablation: non-linear inputs/outputs also pass through
+                 the bfp8 grid.
+``int8-linear``  int8 per-tensor linear + fp32 non-linear.
+``int8-all``     conventional int8 inference: non-linear tensors are also
+                 snapped to the int8 grid (what an integer-only
+                 accelerator without retraining does).
+``ibert``        int8 linear + I-BERT integer non-linear programs.
 """
 
 from __future__ import annotations
@@ -41,13 +43,8 @@ from typing import Callable
 import numpy as np
 
 from repro.cost.modes import ModeOptions, resolve_unit_mode
-from repro.errors import RegistryError
-from repro.formats.registry import BfpFormat, IBertFormat, QuantFormat, get_format
-from repro.models.policy import (
-    PolicyRule,
-    PrecisionPolicy,
-    get_policy,
-)
+from repro.formats.registry import QuantFormat
+from repro.models.policy import PrecisionPolicy, get_policy
 from repro.obs.numerics import get_monitor
 from repro.obs.profile import Profiler
 from repro.perf.prepared import PreparedTensor
@@ -55,15 +52,9 @@ from repro.perf.prepared import PreparedTensor
 __all__ = [
     "ComputeBackend",
     "PolicyBackend",
+    "get_backend",
     "FP32Backend",
     "BFP8MixedBackend",
-    "BFP8AllBackend",
-    "INT8LinearBackend",
-    "INT8AllBackend",
-    "IBERTBackend",
-    "BACKENDS",
-    "register_backend",
-    "get_backend",
 ]
 
 
@@ -227,13 +218,6 @@ class ComputeBackend:
         (e.g. the sensitivity backend) keep their exact semantics."""
         return np.stack([self._matmul(a[i], b[i]) for i in range(a.shape[0])])
 
-    def _record_quantize(self, elements: int) -> None:
-        """Attribute quantization work the emulation actually performed."""
-        if self.profiler is not None:
-            self.profiler.record_quantize(
-                int(elements), precision=self.matmul_precision
-            )
-
     def nonlinear(
         self, kind: str, fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray
     ) -> np.ndarray:
@@ -265,41 +249,27 @@ class PolicyBackend(ComputeBackend):
     :class:`~repro.formats.registry.QuantFormat`, whose kernel then runs
     — with profiler attribution under the format's precision label and
     its array-vs-vector cost mapping, and numerics-monitor taps keyed the
-    same way.  ``formats`` optionally overrides name -> format instances
-    (how the legacy aliases inject ``exact_accumulate`` bfp variants
-    without registering new global names).
+    same way.  The backend's ``name`` is the policy's.
     """
 
     def __init__(
         self,
         policy: PrecisionPolicy,
         *,
-        name: str | None = None,
         profiler: Profiler | None = None,
-        formats: dict[str, QuantFormat] | None = None,
         modes: "ModeOptions | None" = None,
     ) -> None:
-        super().__init__(name=name or policy.name, profiler=profiler)
+        super().__init__(name=policy.name, profiler=profiler)
         self.policy = policy
         self.modes = modes
-        self._formats: dict[str, QuantFormat] = dict(formats or {})
         self._fmt_cache: dict[tuple[str, str], QuantFormat] = {}
         self._mode_cache: dict[str, str | bool] = {}
-        # Legacy attribution labels, resolved at the model root — purely
-        # informational for policy backends (per-call labels come from
-        # the resolved format).
-        self.matmul_precision = self._fmt_at("", "linear").precision
-        self.nonlinear_precision = self._fmt_at("", "nonlinear").precision
-
-    def _format(self, fmt_name: str) -> QuantFormat:
-        fmt = self._formats.get(fmt_name)
-        return fmt if fmt is not None else get_format(fmt_name)
 
     def _fmt_at(self, layer: str, role: str) -> QuantFormat:
         key = (layer, role)
         fmt = self._fmt_cache.get(key)
         if fmt is None:
-            fmt = self._format(self.policy.resolve_name(layer, role))
+            fmt = self.policy.resolve(layer, role)
             self._fmt_cache[key] = fmt
         return fmt
 
@@ -377,142 +347,17 @@ class PolicyBackend(ComputeBackend):
         return self._fmt("residual").requantize(x)
 
 
-# ---------------------------------------------------------------------------
-# Legacy single-format aliases (bit-identical to the pre-registry classes)
-# ---------------------------------------------------------------------------
+def get_backend(name: str) -> PolicyBackend:
+    """The backend for a preset or parametric-family policy name; unknown
+    names raise :class:`~repro.errors.RegistryError`."""
+    return PolicyBackend(get_policy(name))
 
 
-class FP32Backend(PolicyBackend):
-    def __init__(self) -> None:
-        super().__init__(get_policy("fp32"), name="fp32")
+def FP32Backend() -> PolicyBackend:
+    """``get_backend("fp32")`` (kept for the benchmark harness)."""
+    return get_backend("fp32")
 
 
-class BFP8MixedBackend(PolicyBackend):
-    """The paper's regime: block-fp MatMul + exact fp32 non-linear.
-
-    ``man_bits`` selects the block-fp mantissa width (8 = the paper's bfp8;
-    lower widths feed the bitwidth-sweep experiment).  ``exact_accumulate``
-    replaces the hardware's truncating cross-block alignment with exact
-    accumulation (ablation knob).
-    """
-
-    def __init__(self, *, exact_accumulate: bool = False, man_bits: int = 8) -> None:
-        fmt = BfpFormat(man_bits=man_bits, exact_accumulate=exact_accumulate)
-        name = "bfp8-mixed" if man_bits == 8 else f"bfp{man_bits}-mixed"
-        policy = PrecisionPolicy(
-            name=name,
-            rules=(
-                PolicyRule("*", "linear", fmt.name),
-                PolicyRule("*", "attention", fmt.name),
-            ),
-            default="fp32",
-        )
-        super().__init__(policy, name=name, formats={fmt.name: fmt})
-        self.exact_accumulate = exact_accumulate
-        self.man_bits = man_bits
-
-
-class BFP8AllBackend(BFP8MixedBackend):
-    """Ablation: non-linear tensors also snap to the block-fp grid."""
-
-    def __init__(self, *, man_bits: int = 8) -> None:
-        fmt = BfpFormat(man_bits=man_bits)
-        name = "bfp8-all" if man_bits == 8 else f"bfp{man_bits}-all"
-        policy = PrecisionPolicy(name=name, rules=(), default=fmt.name)
-        PolicyBackend.__init__(
-            self, policy, name=name, formats={fmt.name: fmt}
-        )
-        self.exact_accumulate = False
-        self.man_bits = man_bits
-
-
-class INT8LinearBackend(PolicyBackend):
-    """Per-tensor integer linear layers, exact fp32 non-linear."""
-
-    def __init__(self, *, bits: int = 8) -> None:
-        name = "int8-linear" if bits == 8 else f"int{bits}-linear"
-        policy = PrecisionPolicy(
-            name=name,
-            rules=(
-                PolicyRule("*", "linear", f"int{bits}"),
-                PolicyRule("*", "attention", f"int{bits}"),
-            ),
-            default="fp32",
-        )
-        super().__init__(policy, name=name)
-        self.bits = bits
-
-
-class INT8AllBackend(INT8LinearBackend):
-    """Conventional integer inference: non-linear tensors quantized too.
-
-    This is the regime that, without quantization-aware retraining, loses
-    accuracy on Transformers (paper Section I / IV-A): activations with
-    outliers force a coarse per-tensor grid, and softmax inputs span a huge
-    dynamic range.
-    """
-
-    def __init__(self, *, bits: int = 8) -> None:
-        name = "int8-all" if bits == 8 else f"int{bits}-all"
-        policy = PrecisionPolicy(name=name, rules=(), default=f"int{bits}")
-        PolicyBackend.__init__(self, policy, name=name)
-        self.bits = bits
-
-
-class IBERTBackend(INT8LinearBackend):
-    """Integer-only inference with I-BERT non-linear approximations.
-
-    The competing design point of the paper's related work (ref [4]):
-    int8 linear layers plus *integer-arithmetic* softmax/GELU/LayerNorm
-    (second-order polynomial exp/erf, Newton integer sqrt) instead of the
-    fp32 vector personality.  Published results require quantization-aware
-    retraining to reach parity; here it is evaluated post-training, like
-    every other regime.
-    """
-
-    def __init__(self, *, bits: int = 8, act_bits: int = 8) -> None:
-        fmt = IBertFormat(bits=bits, act_bits=act_bits)
-        policy = PrecisionPolicy(
-            name="ibert",
-            rules=(
-                PolicyRule("*", "linear", f"int{bits}"),
-                PolicyRule("*", "attention", f"int{bits}"),
-            ),
-            default="ibert",
-        )
-        PolicyBackend.__init__(
-            self, policy, name="ibert", formats={"ibert": fmt}
-        )
-        self.bits = bits
-        self.act_bits = act_bits
-
-
-BACKENDS: dict[str, Callable[[], ComputeBackend]] = {}
-
-
-def register_backend(name: str, factory: Callable[[], ComputeBackend]) -> None:
-    """Register a backend factory; duplicate names raise (no silent
-    overwrite — resolution must not depend on import order)."""
-    if name in BACKENDS:
-        raise RegistryError(f"backend {name!r} is already registered")
-    BACKENDS[name] = factory
-
-
-for _name, _factory in (
-    ("fp32", FP32Backend),
-    ("bfp8-mixed", BFP8MixedBackend),
-    ("bfp8-all", BFP8AllBackend),
-    ("int8-linear", INT8LinearBackend),
-    ("int8-all", INT8AllBackend),
-    ("ibert", IBERTBackend),
-):
-    register_backend(_name, _factory)
-
-
-def get_backend(name: str) -> ComputeBackend:
-    try:
-        return BACKENDS[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown backend {name!r}; available: {sorted(BACKENDS)}"
-        ) from None
+def BFP8MixedBackend() -> PolicyBackend:
+    """``get_backend("bfp8-mixed")`` (kept for the benchmark harness)."""
+    return get_backend("bfp8-mixed")

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.models.attention import MultiHeadSelfAttention
-from repro.models.backend import ComputeBackend, FP32Backend
+from repro.models.backend import ComputeBackend, get_backend
 from repro.models.layers import Embedding, Linear, Module
 
 __all__ = ["RMSNorm", "SwiGLUMLP", "DecoderBlock", "TinyLM"]
@@ -33,7 +33,7 @@ class RMSNorm(Module):
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
-        backend = backend or FP32Backend()
+        backend = backend or get_backend("fp32")
         gamma = self.params["gamma"]
 
         def fn(v: np.ndarray) -> np.ndarray:
@@ -78,7 +78,7 @@ class SwiGLUMLP(Module):
         return z / (1.0 + np.exp(-z))
 
     def forward(self, x: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
-        backend = backend or FP32Backend()
+        backend = backend or get_backend("fp32")
         g = self.gate.forward(x, backend)
         u = self.up.forward(x, backend)
 
@@ -133,7 +133,7 @@ class DecoderBlock(Module):
             self.mlp.prepare(backend)
 
     def forward(self, x: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
-        backend = backend or FP32Backend()
+        backend = backend or get_backend("fp32")
         with backend.scope("attn"):
             x = backend.requantize(
                 x + self.attn.forward(self.norm1.forward(x, backend), backend)
@@ -148,7 +148,7 @@ class DecoderBlock(Module):
         self, x: np.ndarray, kv_cache: dict, backend: ComputeBackend | None = None
     ) -> np.ndarray:
         """Incremental decode through the block with a shared KV cache."""
-        backend = backend or FP32Backend()
+        backend = backend or get_backend("fp32")
         with backend.scope("attn"):
             x = backend.requantize(
                 x + self.attn.forward_step(self.norm1.forward(x, backend), kv_cache, backend)
@@ -202,7 +202,7 @@ class TinyLM(Module):
 
     def forward(self, tokens: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
         """Logits for every position: shape ``(batch, seq, vocab)``."""
-        backend = backend or FP32Backend()
+        backend = backend or get_backend("fp32")
         tokens = np.asarray(tokens)
         if tokens.shape[-1] > self.seq_len:
             raise ConfigurationError(
@@ -328,7 +328,7 @@ class TinyLM(Module):
         from repro.runtime import plan as _plan
 
         if backend is None:
-            backend = FP32Backend()
+            backend = get_backend("fp32")
             if compiled is None:
                 # A throwaway default backend gains nothing from a plan
                 # (the plan cache is keyed by backend identity).

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.models.backend import ComputeBackend, FP32Backend
+from repro.models.backend import ComputeBackend, get_backend
 
 __all__ = [
     "Module",
@@ -126,7 +126,7 @@ class Linear(Module):
             raise ConfigurationError(
                 f"Linear expected trailing dim {self.d_in}, got {x.shape}"
             )
-        backend = backend or FP32Backend()
+        backend = backend or get_backend("fp32")
         self._x = x
         flat = x.reshape(-1, self.d_in)
         y = backend.matmul(flat, backend.prepare_weight(self.params["w"]))
@@ -156,7 +156,7 @@ class LayerNorm(Module):
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
-        backend = backend or FP32Backend()
+        backend = backend or get_backend("fp32")
         gamma, beta = self.params["gamma"], self.params["beta"]
 
         def fn(v: np.ndarray) -> np.ndarray:
@@ -195,7 +195,7 @@ class GELU(Module):
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
-        backend = backend or FP32Backend()
+        backend = backend or get_backend("fp32")
         self._x = x
         return backend.nonlinear("gelu", gelu, x.astype(np.float32))
 
@@ -212,7 +212,7 @@ class Softmax(Module):
         self._y: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
-        backend = backend or FP32Backend()
+        backend = backend or get_backend("fp32")
         y = backend.nonlinear("softmax", softmax, x.astype(np.float32))
         self._y = y
         return y

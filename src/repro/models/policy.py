@@ -20,14 +20,19 @@ Roles
 Policies are frozen (hashable — they key ``lru_cache``'d cost lookups)
 and serializable: :meth:`PrecisionPolicy.to_json` /
 :meth:`PrecisionPolicy.from_json` round-trip through the ``--policy``
-CLI flag.  Named presets in :data:`POLICY_PRESETS` reproduce every legacy
-``BACKENDS`` regime exactly, plus the mixed bfp8/fp8 demonstration policy
-the CI smoke job runs.
+CLI flag.  :data:`POLICY_PRESETS` is the one regime registry: every name
+``--backend``/``--policy``/:func:`~repro.models.backend.get_backend`
+accepts resolves here — the paper's comparison regimes
+(:data:`REGIMES`), the fp16 and mixed bfp8/fp8 demonstration policies,
+and the parametric bitwidth families ``bfpN-mixed``, ``bfpN-all``,
+``intN-linear`` and ``intN-all`` (materialized on lookup, the way
+:func:`~repro.formats.registry.get_format` resolves ``bfpN``/``intN``).
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from functools import lru_cache
@@ -39,6 +44,7 @@ from repro.formats.registry import QuantFormat, get_format
 
 __all__ = [
     "ROLES",
+    "REGIMES",
     "PolicyRule",
     "PrecisionPolicy",
     "POLICY_PRESETS",
@@ -49,6 +55,9 @@ __all__ = [
 
 #: Tensor roles a policy can discriminate on.
 ROLES = ("linear", "attention", "nonlinear", "residual")
+
+#: The paper's comparison regimes, in results-table row order.
+REGIMES = ("fp32", "bfp8-mixed", "bfp8-all", "int8-linear", "int8-all", "ibert")
 
 
 @dataclass(frozen=True)
@@ -264,21 +273,43 @@ for _name, _factory in (
     register_policy_preset(_name, _factory)
 
 
+#: Parametric bitwidth families: name pattern -> policy builder over the
+#: captured format name (``bfp4-mixed`` -> ``_linear_only(..., "bfp4")``).
+_FAMILIES = (
+    (re.compile(r"(bfp\d+)-mixed"), _linear_only),
+    (re.compile(r"(int\d+)-linear"), _linear_only),
+    (re.compile(r"(bfp\d+|int\d+)-all"), _uniform),
+)
+
+
+def _named(name: str) -> PrecisionPolicy | None:
+    factory = POLICY_PRESETS.get(name)
+    if factory is not None:
+        return factory()
+    for pattern, build in _FAMILIES:
+        m = pattern.fullmatch(name)
+        if m:
+            return build(name, m.group(1))
+    return None
+
+
 def get_policy(name: str) -> PrecisionPolicy:
-    """Construct a preset policy by name."""
-    try:
-        return POLICY_PRESETS[name]()
-    except KeyError:
+    """Construct a preset or parametric-family policy by name."""
+    policy = _named(name)
+    if policy is None:
         raise RegistryError(
             f"unknown policy preset {name!r}; available: "
-            f"{sorted(POLICY_PRESETS)}"
-        ) from None
+            f"{sorted(POLICY_PRESETS)} (plus parametric bfpN-mixed / "
+            "bfpN-all / intN-linear / intN-all)"
+        )
+    return policy
 
 
 def load_policy(spec: str | Path) -> PrecisionPolicy:
     """Resolve a CLI ``--policy`` argument: preset name or JSON file path."""
-    if isinstance(spec, str) and spec in POLICY_PRESETS:
-        return get_policy(spec)
+    policy = _named(spec) if isinstance(spec, str) else None
+    if policy is not None:
+        return policy
     path = Path(spec)
     if path.exists():
         return PrecisionPolicy.load(path)

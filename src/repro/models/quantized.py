@@ -1,8 +1,8 @@
 """Mixed-precision inference evaluation (the paper's accuracy story).
 
 Runs a trained model under every arithmetic regime in
-:mod:`repro.models.backend` and reports accuracy plus output deviation from
-the fp32 reference.  The expected ordering — the reason the paper argues
+:data:`repro.models.policy.REGIMES` and reports accuracy plus output
+deviation from the fp32 reference.  The expected ordering — the reason the paper argues
 for bfp8 + fp32 mixed precision without retraining — is::
 
     fp32  ~=  bfp8-mixed  >  int8-linear  >=  bfp8-all  >  int8-all
@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.models.backend import BACKENDS, get_backend
+from repro.models.backend import get_backend
 from repro.models.data import Dataset
+from repro.models.policy import REGIMES
 from repro.models.vit import SequenceClassifier
 
 __all__ = ["RegimeResult", "evaluate_regimes", "logit_deviation"]
@@ -42,25 +43,23 @@ def evaluate_regimes(
     data: Dataset,
     *,
     backends: list[str] | None = None,
-    factories: dict[str, object] | None = None,
     batch_size: int = 256,
 ) -> list[RegimeResult]:
     """Evaluate ``model`` on ``data`` under each arithmetic regime.
 
-    ``backends`` selects regimes by registry name; ``factories`` maps extra
-    regime names to zero-argument backend factories (used by the bitwidth
-    sweep to evaluate e.g. ``bfp4-mixed``).
+    ``backends`` selects regimes by :func:`~repro.models.backend.get_backend`
+    name (default: :data:`~repro.models.policy.REGIMES`), including the
+    parametric families the bitwidth sweep uses (e.g. ``bfp4-mixed``).
     """
-    names = backends or list(BACKENDS)
-    factories = factories or {}
-    ref_logits = _forward_batched(model, data.tokens, "fp32", factories, batch_size)
+    names = backends or REGIMES
+    ref_logits = _forward_batched(model, data.tokens, "fp32", batch_size)
     ref_pred = np.argmax(ref_logits, axis=1)
     results = []
-    for name in [*names, *[n for n in factories if n not in names]]:
+    for name in names:
         logits = (
             ref_logits
             if name == "fp32"
-            else _forward_batched(model, data.tokens, name, factories, batch_size)
+            else _forward_batched(model, data.tokens, name, batch_size)
         )
         pred = np.argmax(logits, axis=1)
         results.append(
@@ -78,17 +77,15 @@ def _forward_batched(
     model: SequenceClassifier,
     tokens: np.ndarray,
     backend_name: str,
-    factories: dict[str, object],
     batch_size: int,
 ) -> np.ndarray:
     outs = []
-    factory = factories.get(backend_name)
-    warm = factory() if factory is not None else get_backend(backend_name)
+    warm = get_backend(backend_name)
     # Quantize every matmul weight once up front; the per-batch backends
     # below (fresh instances for clean op statistics) hit the shared
     # prepared-operand cache instead of requantizing per batch.
     model.prepare(warm)
     for s in range(0, tokens.shape[0], batch_size):
-        backend = factory() if factory is not None else get_backend(backend_name)
+        backend = get_backend(backend_name)
         outs.append(model.forward(tokens[s : s + batch_size], backend))
     return np.concatenate(outs, axis=0)

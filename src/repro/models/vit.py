@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.models.attention import MultiHeadSelfAttention
-from repro.models.backend import ComputeBackend, FP32Backend
+from repro.models.backend import ComputeBackend, get_backend
 from repro.models.layers import GELU, Embedding, LayerNorm, Linear, Module
 
 __all__ = ["MLP", "TransformerBlock", "PatchEmbed", "VisionTransformer",
@@ -71,7 +71,7 @@ class TransformerBlock(Module):
             self.mlp.prepare(backend)
 
     def forward(self, x: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
-        backend = backend or FP32Backend()
+        backend = backend or get_backend("fp32")
         # The residual stream lives in the regime's storage format: a real
         # integer pipeline keeps these tensors quantized too.
         with backend.scope("attn"):
@@ -160,7 +160,7 @@ class VisionTransformer(Module):
             self.head.prepare(backend)
 
     def forward(self, images: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
-        backend = backend or FP32Backend()
+        backend = backend or get_backend("fp32")
         with backend.scope("patch_embed"):
             x = self.patch_embed.forward(images, backend)
         b = x.shape[0]
@@ -210,7 +210,7 @@ class SequenceClassifier(Module):
         self._n: int | None = None
 
     def forward(self, tokens: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
-        backend = backend or FP32Backend()
+        backend = backend or get_backend("fp32")
         if tokens.shape[-1] != self.seq_len:
             raise ConfigurationError(
                 f"expected sequences of length {self.seq_len}, got {tokens.shape}"

@@ -65,7 +65,9 @@ def add_profile_parser(subparsers) -> argparse.ArgumentParser:
                         "print plan stats (the profiled run itself is "
                         "always eager — a profiler needs per-op scopes)")
     p.add_argument("--backend", default="bfp8-mixed",
-                   help="functional mode: arithmetic backend name")
+                   help="functional mode: regime name (a policy preset or "
+                        "a bfpN-mixed/bfpN-all/intN-linear/intN-all family "
+                        "member)")
     p.add_argument("--policy", default=None, metavar="NAME_OR_JSON",
                    help="per-layer precision policy: a preset name or a "
                         "policy JSON file; overrides --backend in functional "
@@ -188,24 +190,15 @@ def _run_functional(args) -> int:
     import numpy as np
 
     from repro.eval.reporting import render_metrics
-    from repro.models.backend import PolicyBackend, get_backend
+    from repro.models.backend import PolicyBackend
     from repro.models.decoder import TinyLM
+    from repro.models.policy import get_policy
     from repro.obs.profile import Profiler
 
-    policy = policy_from_args(args)
-    modes = modes_from_args(args)
-    if policy is not None:
-        backend = PolicyBackend(policy, modes=modes)
-    elif modes is not None:
-        from repro.models.policy import load_policy
-
-        # --array-mode changes *cycle attribution*, which is policy-level
-        # information; lift the flat backend into the equivalent policy so
-        # the profiler sees the remapped unit modes.
-        backend = PolicyBackend(load_policy(args.backend), modes=modes)
-    else:
-        backend = get_backend(args.backend)
-    backend.profiler = Profiler()
+    backend = PolicyBackend(
+        policy_from_args(args) or get_policy(args.backend),
+        profiler=Profiler(), modes=modes_from_args(args),
+    )
     model = TinyLM(seed=args.seed)
     rng = np.random.default_rng(args.seed)
     tokens = rng.integers(0, model.vocab, size=(2, model.seq_len))
@@ -402,14 +395,13 @@ def add_numerics_report_parser(subparsers) -> argparse.ArgumentParser:
 
 
 def _numerics_backend(name: str, man_bits: int):
-    from repro.models.backend import BFP8MixedBackend, get_backend
+    from repro.models.backend import get_backend
 
-    backend = get_backend(name)
     if man_bits != 8:
-        if not isinstance(backend, BFP8MixedBackend):
+        if not name.startswith("bfp8-"):
             raise SystemExit(f"--man-bits applies to bfp backends, not {name}")
-        backend = type(backend)(man_bits=man_bits)
-    return backend
+        name = f"bfp{man_bits}-{name.removeprefix('bfp8-')}"
+    return get_backend(name)
 
 
 def add_slo_report_parser(subparsers) -> argparse.ArgumentParser:

@@ -353,7 +353,6 @@ class _LinearOp:
         kb = -(-self.d_in // BLOCK_COLS)
         self.fast = (
             isinstance(self.fmt, BfpFormat)
-            and not self.fmt.exact_accumulate
             and isinstance(self.prepared, PreparedTensor)
             and isinstance(self.prepared.payload, BfpWeight)
             and _fast_ok(self.fmt.man_bits, kb)
@@ -407,11 +406,7 @@ class _AttnMatmulOp:
 
     def __init__(self, fmt, *, kb_max: int) -> None:
         self.fmt = fmt
-        self.fast = (
-            isinstance(fmt, BfpFormat)
-            and not fmt.exact_accumulate
-            and _fast_ok(fmt.man_bits, kb_max)
-        )
+        self.fast = isinstance(fmt, BfpFormat) and _fast_ok(fmt.man_bits, kb_max)
         self.man_bits = fmt.man_bits if self.fast else 0
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -530,11 +525,7 @@ class DecodePlan:
             att_f = backend._fmt_at(apath, "attention")
             h, hd = attn.n_heads, attn.head_dim
             hidden = mlp.gate.d_out
-            fuse = (
-                isinstance(lin_m, BfpFormat)
-                and not lin_m.exact_accumulate
-                and hidden % BLOCK_COLS == 0
-            )
+            fuse = isinstance(lin_m, BfpFormat) and hidden % BLOCK_COLS == 0
             self.blocks.append(_BlockOps(
                 norm1=blk.norm1,
                 norm2=blk.norm2,

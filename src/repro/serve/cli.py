@@ -545,19 +545,16 @@ def _write_serving_numerics(trace, args) -> None:
 
     import numpy as np
 
-    from repro.models.backend import PolicyBackend, get_backend
+    from repro.models.backend import PolicyBackend
     from repro.models.decoder import TinyLM
+    from repro.models.policy import get_policy
     from repro.obs import baseline as bl
     from repro.obs.numerics import NumericsMonitor, set_monitor
     from repro.perf.prepared import PreparedOperandCache, set_cache
 
     llm = [r for r in trace if r.kind == "llm"][: args.numerics_requests]
     model = TinyLM(seed=args.seed)
-    precision = policy_from_args(args)
-    if precision is not None:
-        backend = PolicyBackend(precision)
-    else:
-        backend = get_backend("bfp8-mixed")
+    backend = PolicyBackend(policy_from_args(args) or get_policy("bfp8-mixed"))
     rng = np.random.default_rng(args.seed)
     monitor = NumericsMonitor()
     prev_monitor = set_monitor(monitor)

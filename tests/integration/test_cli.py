@@ -177,6 +177,30 @@ def _repro(*argv, timeout=300):
     )
 
 
+def test_cli_profile_backend_accepts_every_preset(tmp_path):
+    """``--backend`` and ``--policy`` resolve through one registry: a
+    policy preset named via ``--backend`` profiles exactly like it."""
+    by_precision = {}
+    for flag in ("--backend", "--policy"):
+        json_out = tmp_path / f"{flag.strip('-')}.json"
+        proc = _repro("profile", "--functional", flag, "mixed-fp8",
+                      "--gen-tokens", "1", "--no-compiled",
+                      "--json-out", str(json_out))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        by_precision[flag] = json.loads(json_out.read_text())["profile"][
+            "by_precision"]
+    assert by_precision["--backend"] == by_precision["--policy"]
+    assert {"bfp8", "fp8-e4m3", "fp32"} <= set(by_precision["--backend"])
+
+
+def test_cli_unknown_regime_is_a_usage_error():
+    for argv in (("--functional", "--backend", "fp64"), ("--policy", "bogus")):
+        proc = _repro("profile", *argv)
+        assert proc.returncode == 2, proc.stdout + proc.stderr[-2000:]
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("repro: error:")
+
+
 def test_cli_numerics_report_outputs(tmp_path):
     json_out = tmp_path / "numerics.json"
     md_out = tmp_path / "numerics.md"

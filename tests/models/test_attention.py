@@ -78,10 +78,10 @@ class TestBackward:
 
 class TestBackendRouting:
     def test_matmuls_counted(self, rng):
-        from repro.models.backend import FP32Backend
+        from repro.models.backend import get_backend
 
         attn = MultiHeadSelfAttention(8, 2, rng=rng)
-        be = FP32Backend()
+        be = get_backend("fp32")
         attn.forward(rng.normal(size=(1, 4, 8)).astype(np.float32), be)
         # qkv + proj + per-head scores and context (2 heads each)
         assert be.matmul_count == 2 + 2 * 2

@@ -4,21 +4,23 @@ import numpy as np
 import pytest
 
 from repro.arith.bfp_matmul import bfp_matmul_emulate
-from repro.models.backend import BACKENDS, get_backend
+from repro.errors import RegistryError
+from repro.models.backend import get_backend
 from repro.models.layers import softmax
+from repro.models.policy import POLICY_PRESETS, REGIMES
 
 
 class TestRegistry:
     def test_all_backends_constructible(self):
-        for name in BACKENDS:
+        for name in POLICY_PRESETS:
             assert get_backend(name).name == name
 
     def test_unknown_backend(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(RegistryError, match="unknown policy preset"):
             get_backend("fp64")
 
     def test_expected_regimes_present(self):
-        assert set(BACKENDS) == {
+        assert set(REGIMES) == {
             "fp32", "bfp8-mixed", "bfp8-all", "int8-linear", "int8-all",
             "ibert",
         }

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.models.backend import IBERTBackend, get_backend
+from repro.models.backend import get_backend
 from repro.models.integer_nonlinear import i_exp, i_gelu, i_softmax, i_sqrt
 
 
@@ -95,7 +95,7 @@ class TestIBERTBackend:
     def test_softmax_close_on_benign_inputs(self, rng):
         from repro.models.layers import softmax
 
-        be = IBERTBackend()
+        be = get_backend("ibert")
         x = (rng.normal(size=(4, 8)) * 2).astype(np.float32)
         out = be.nonlinear("softmax", softmax, x)
         assert np.abs(out - softmax(x)).max() < 0.05
@@ -103,7 +103,7 @@ class TestIBERTBackend:
     def test_layernorm_path(self, rng):
         from repro.models.layers import LayerNorm
 
-        be = IBERTBackend()
+        be = get_backend("ibert")
         ln = LayerNorm(16)
         x = (rng.normal(size=(4, 16)) * 3 + 1).astype(np.float32)
         out = ln.forward(x, be)

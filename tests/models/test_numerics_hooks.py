@@ -76,7 +76,7 @@ def test_weights_observed_once_per_residency():
 
 
 def test_man_bits_injection_changes_precision_label_and_sqnr():
-    from repro.models.backend import BFP8MixedBackend
+    from repro.models.backend import get_backend
 
     model = TinyLM(seed=0)
     rng = np.random.default_rng(0)
@@ -87,7 +87,7 @@ def test_man_bits_injection_changes_precision_label_and_sqnr():
         prev_m = set_monitor(monitor)
         prev_c = set_cache(PreparedOperandCache())
         try:
-            model.forward(tokens, BFP8MixedBackend(man_bits=man_bits))
+            model.forward(tokens, get_backend(f"bfp{man_bits}-mixed"))
         finally:
             set_monitor(prev_m)
             set_cache(prev_c)

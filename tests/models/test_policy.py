@@ -107,9 +107,9 @@ class TestSerialization:
 
 class TestPresets:
     def test_every_legacy_backend_has_a_preset(self):
-        from repro.models.backend import BACKENDS
+        from repro.models.policy import REGIMES
 
-        for name in BACKENDS:
+        for name in REGIMES:
             assert name in POLICY_PRESETS
 
     def test_get_policy_unknown_raises(self):

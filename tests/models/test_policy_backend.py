@@ -1,16 +1,16 @@
-"""PolicyBackend equivalence: legacy regimes are policies, bit-identically.
+"""PolicyBackend pins: every named regime is a policy, bit-identically.
 
 The registry/policy refactor replaced the class-per-format backend zoo
-with :class:`~repro.models.backend.PolicyBackend`; the legacy ``BACKENDS``
-names survive as thin aliases that construct the equivalent
-:class:`~repro.models.policy.PrecisionPolicy`.  These tests pin that
-equivalence two ways:
+with :class:`~repro.models.backend.PolicyBackend`, and the legacy alias
+classes were later retired onto ``get_backend(name)`` =
+``PolicyBackend(get_policy(name))``.  These tests pin, by the SHA-256 of
+the TinyLM logits and a greedy decode:
 
-* the SHA-256 of the TinyLM logits under every legacy backend name equals
-  the value recorded on the pre-refactor tree (bit-identity across the
-  refactor), and
-* a ``PolicyBackend`` built from the matching policy preset reproduces
-  the alias bit-for-bit (aliases add no arithmetic of their own).
+* every paper regime (:data:`~repro.models.policy.REGIMES`) against the
+  value recorded on the pre-registry tree, and
+* the parametric bitwidth families (``bfp4-mixed``, ``int6-all``, ...)
+  against the values the retired ``man_bits=``/``bits=`` constructors
+  produced.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.models.backend import BACKENDS, PolicyBackend, get_backend
+from repro.models.backend import PolicyBackend, get_backend
 from repro.models.decoder import TinyLM
-from repro.models.policy import get_policy
+from repro.models.policy import REGIMES
 
 # Recorded on the pre-refactor tree: TinyLM(seed=0), tokens from
 # default_rng(0) with shape (2, seq_len), forward logits hashed raw.
@@ -48,6 +48,28 @@ PRE_REFACTOR_GENERATION = {
 }
 PRE_REFACTOR_GENERATION["ibert"] = [13, 10, 8, 4, 2, 4, 3, 10, 10, 10]
 
+# Recorded with the retired constructors BFP8MixedBackend(man_bits=4),
+# BFP8AllBackend(man_bits=6), INT8LinearBackend(bits=4) and
+# INT8AllBackend(bits=6), same fixture: (logits SHA-256, greedy decode).
+PARAMETRIC_PINS = {
+    "bfp4-mixed": (
+        "4a5a1c53437310aab124efa951b27968bf0facf6a092d76b237f3d386ff266c7",
+        [13, 10, 8, 4, 2, 4, 6, 3, 10, 3],
+    ),
+    "bfp6-all": (
+        "385def9e9dd7ad940e4ae771020c8e85970bd8daeca918d49270b0bb39be6d1b",
+        [13, 10, 8, 4, 2, 4, 6, 3, 3, 3],
+    ),
+    "int4-linear": (
+        "2a86d871ae0ece00eda22fa38b436cc639918908fbf77bc617f2e35333c68a30",
+        [13, 10, 8, 4, 0, 12, 3, 2, 3, 3],
+    ),
+    "int6-all": (
+        "f00f671a2a306303f2ea6db9db4a2c4a340f525c1f4c37535c09798311371491",
+        [13, 10, 8, 4, 2, 4, 3, 6, 3, 3],
+    ),
+}
+
 
 def _fixture():
     model = TinyLM(seed=0)
@@ -69,34 +91,24 @@ def test_legacy_backend_bit_identical_to_pre_refactor(name):
     assert list(gen) == PRE_REFACTOR_GENERATION[name]
 
 
-@pytest.mark.parametrize("name", sorted(PRE_REFACTOR_LOGITS_SHA256))
-def test_policy_backend_matches_legacy_alias(name):
+@pytest.mark.parametrize("name", sorted(PARAMETRIC_PINS))
+def test_parametric_family_bit_identical_to_retired_constructors(name):
+    sha, generation = PARAMETRIC_PINS[name]
     model, tokens = _fixture()
-    via_alias = model.forward(tokens, get_backend(name))
-    via_policy = model.forward(tokens, PolicyBackend(get_policy(name)))
-    np.testing.assert_array_equal(via_alias, via_policy)
+    backend = get_backend(name)
+    assert backend.name == name
+    assert _sha256(model.forward(tokens, backend)) == sha
+    gen = model.generate_cached(tokens[0, :4], 6, get_backend(name))
+    assert list(gen) == generation
 
 
 def test_backends_registry_unchanged():
-    # The legacy regime set is a public contract (results tables, CLI);
-    # new policies belong in POLICY_PRESETS, not BACKENDS.
-    assert sorted(BACKENDS) == sorted(PRE_REFACTOR_LOGITS_SHA256)
-
-
-def test_alias_attributes_preserved():
-    from repro.models.backend import (
-        BFP8AllBackend,
-        BFP8MixedBackend,
-        IBERTBackend,
-        INT8LinearBackend,
+    # The paper's regime set is a public contract (results tables, CLI);
+    # new policies belong in POLICY_PRESETS, not REGIMES.
+    assert REGIMES == (
+        "fp32", "bfp8-mixed", "bfp8-all", "int8-linear", "int8-all", "ibert",
     )
-
-    b = BFP8MixedBackend(man_bits=4)
-    assert b.man_bits == 4 and not b.exact_accumulate
-    assert isinstance(BFP8AllBackend(), BFP8MixedBackend)
-    assert BFP8MixedBackend(exact_accumulate=True).exact_accumulate
-    assert INT8LinearBackend(bits=6).bits == 6
-    assert IBERTBackend().act_bits == 8
+    assert sorted(REGIMES) == sorted(PRE_REFACTOR_LOGITS_SHA256)
 
 
 def test_policy_backend_strict_policy_raises_on_unmatched_layer():
@@ -109,3 +121,27 @@ def test_policy_backend_strict_policy_raises_on_unmatched_layer():
     model, tokens = _fixture()
     with pytest.raises(ConfigurationError, match="no rule"):
         model.forward(tokens, PolicyBackend(policy))
+
+
+def test_strict_per_layer_policy_builds_and_matches_bfp8_mixed():
+    """A ``default=None`` policy enumerating every TinyLM scope constructs
+    a backend (nothing resolves the root layer ``""``) and decodes
+    bit-identically to the ``bfp8-mixed`` preset it spells out."""
+    from repro.models.policy import PolicyRule, PrecisionPolicy
+
+    rules = []
+    for layer in ("block*", "final_norm", "head"):
+        rules += [
+            PolicyRule(layer, "linear", "bfp8"),
+            PolicyRule(layer, "attention", "bfp8"),
+            PolicyRule(layer, "nonlinear", "fp32"),
+            PolicyRule(layer, "residual", "fp32"),
+        ]
+    strict = PrecisionPolicy(name="strict", rules=tuple(rules), default=None)
+    model, tokens = _fixture()
+    np.testing.assert_array_equal(
+        model.forward(tokens, PolicyBackend(strict)),
+        model.forward(tokens, get_backend("bfp8-mixed")),
+    )
+    gen = model.generate_cached(tokens[0, :4], 6, PolicyBackend(strict))
+    assert list(gen) == PRE_REFACTOR_GENERATION["bfp8-mixed"]

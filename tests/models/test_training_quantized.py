@@ -122,17 +122,11 @@ class TestTrainingAndRegimes:
         """Bitwidth sweep at 4 bits: the per-tensor integer pipeline
         degrades far more than the block-fp pipeline (outlier containment,
         Section IV-A)."""
-        from repro.models.backend import BFP8MixedBackend, INT8AllBackend
-
         model, test, _ = trained
-        factories = {
-            "bfp4-mixed": lambda: BFP8MixedBackend(man_bits=4),
-            "int4-all": lambda: INT8AllBackend(bits=4),
-        }
         regimes = {
             r.backend: r
             for r in evaluate_regimes(
-                model, test, backends=["fp32"], factories=factories
+                model, test, backends=["fp32", "bfp4-mixed", "int4-all"]
             )
         }
         assert regimes["bfp4-mixed"].logit_rmse < regimes["int4-all"].logit_rmse

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.models.backend import FP32Backend, PolicyBackend
+from repro.models.backend import PolicyBackend, get_backend
 from repro.models.decoder import TinyLM
 from repro.models.policy import PolicyRule, PrecisionPolicy, get_policy
 from repro.obs.numerics import NULL_MONITOR, NumericsMonitor, set_monitor
@@ -249,7 +249,7 @@ class TestEagerFallback:
         twin = _model(dim=16, depth=1, heads=2)
         twin2 = OddBlockLM(vocab=32, seq_len=16, dim=16, depth=1, n_heads=2, seed=3)
         ce, cc = twin.init_cache(), twin2.init_cache()
-        be, bc = FP32Backend(), FP32Backend()
+        be, bc = get_backend("fp32"), get_backend("fp32")
         for s in range(3):
             le = twin.forward_step(1, s, ce, be, compiled=False)
             lc = twin2.forward_step(1, s, cc, bc, compiled=True)

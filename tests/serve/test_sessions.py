@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.models.backend import FP32Backend
+from repro.models.backend import get_backend
 from repro.models.decoder import TinyLM
 from repro.serve.request import Request
 from repro.serve.sessions import SessionTable
@@ -51,11 +51,11 @@ class TestFunctionalAffinity:
 
     def test_batched_sessions_match_sequential(self):
         lm = TinyLM(vocab=8, seq_len=16, dim=32, depth=2, n_heads=4, seed=1)
-        be = FP32Backend()
+        be = get_backend("fp32")
         prompts = [[1, 2, 3, 4], [5, 1, 0, 2], [7, 7, 1, 3]]
 
         # Reference: each session decoded alone through forward_step.
-        ref = [lm.generate_cached(np.array(p), 5, FP32Backend()) for p in prompts]
+        ref = [lm.generate_cached(np.array(p), 5, get_backend("fp32")) for p in prompts]
 
         # Serving path: sessions resident together, stepped as one batch.
         caches = [lm.init_cache() for _ in prompts]
@@ -75,7 +75,7 @@ class TestFunctionalAffinity:
 
     def test_batched_step_amortizes_weight_passes(self):
         lm = TinyLM(vocab=8, seq_len=8, dim=32, depth=2, n_heads=4, seed=0)
-        seq_be, bat_be = FP32Backend(), FP32Backend()
+        seq_be, bat_be = get_backend("fp32"), get_backend("fp32")
 
         caches = [lm.init_cache() for _ in range(4)]
         for i, c in enumerate(caches):
@@ -96,13 +96,13 @@ class TestFunctionalAffinity:
         lm = TinyLM(vocab=8, seq_len=8, dim=32, depth=2, n_heads=4, seed=0)
         # Session 0 is one token ahead of session 1.
         c0, c0_ref = lm.init_cache(), lm.init_cache()
-        lm.forward_step(3, 0, c0, FP32Backend())
-        lm.forward_step(3, 0, c0_ref, FP32Backend())
+        lm.forward_step(3, 0, c0, get_backend("fp32"))
+        lm.forward_step(3, 0, c0_ref, get_backend("fp32"))
         c1 = lm.init_cache()
 
-        out = lm.forward_step_batch([1, 2], [1, 0], [c0, c1], FP32Backend())
-        ref0 = lm.forward_step(1, 1, c0_ref, FP32Backend())
-        ref1 = lm.forward_step(2, 0, lm.init_cache(), FP32Backend())
+        out = lm.forward_step_batch([1, 2], [1, 0], [c0, c1], get_backend("fp32"))
+        ref0 = lm.forward_step(1, 1, c0_ref, get_backend("fp32"))
+        ref1 = lm.forward_step(2, 0, lm.init_cache(), get_backend("fp32"))
         assert out.shape == (2, 8)
         assert np.allclose(out[0], ref0, atol=1e-6)
         assert np.allclose(out[1], ref1, atol=1e-6)
