@@ -180,7 +180,7 @@ def simulate_cluster(
     )
 
     boards = [Board(b) for b in range(spec.boards)]
-    engine = EventEngine(recorder=recorder, spike=config.spike)
+    engine = EventEngine(recorder=recorder, spike=config.spike, slo=slo)
     replicas: list[Replica] = engine.replicas
 
     def spawn_replica(now: int, active_at: int) -> Replica | None:

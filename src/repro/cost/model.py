@@ -49,6 +49,10 @@ class PolicyCostModel:
         self.mem = mem
         self.precision = precision
         self.modes = modes
+        #: (phase, batch[, context bucket]) -> cycles of this instance's
+        #: jobs; spares the ``perf.latency`` lru_cache its hashing of the
+        #: profile, policy and mode dataclasses on every dispatch.
+        self._memo: dict[tuple, int] = {}
 
     def bucket_context(self, phase: str, context: int) -> int:
         """The context bucket a job's compile is keyed under."""
@@ -81,6 +85,11 @@ class PolicyCostModel:
 
     def job_cycles(self, phase: str, batch: int, context: int = 0) -> int:
         """Unit-occupancy cycles of one dispatched (phase, batch, ctx) job."""
-        if phase == "vit":
-            return self.vit_cycles(batch)
-        return self.decoder_cycles(phase, batch, context)
+        key = ((phase, batch) if phase == "vit"
+               else (phase, batch, self.bucket_context(phase, context)))
+        cycles = self._memo.get(key)
+        if cycles is None:
+            cycles = self._memo[key] = (
+                self.vit_cycles(batch) if phase == "vit"
+                else self.decoder_cycles(phase, batch, context))
+        return cycles

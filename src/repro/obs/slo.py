@@ -218,6 +218,11 @@ class SLOTracker:
         st.long.add(cycle, is_bad)
 
     # -- queries -------------------------------------------------------------
+    @property
+    def deadline_misses(self) -> int:
+        """Completions past their deadline, all classes (lifetime)."""
+        return sum(st.misses for st in self._classes.values())
+
     def class_burn(self, kind: str, now: int) -> float:
         """Alert-grade burn of one class: min(short, long) window burn."""
         st = self._classes.get(kind)

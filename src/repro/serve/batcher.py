@@ -89,17 +89,27 @@ class DynamicBatcher:
         self.policy = policy
         self._wait = policy.max_wait_cycles(clock)
         self._queues: dict[ClassKey, deque[PhaseItem]] = {}
+        # Both kept by add/_pop: items across all queues, and the units
+        # with a pinned decode step queued.
+        self._depth = 0
+        self._decode_units: set[int] = set()
 
     # -- intake --------------------------------------------------------------
     def add(self, item: PhaseItem) -> None:
         key: ClassKey = (item.phase, item.unit if item.phase == "decode" else None)
         if item.phase == "decode" and item.unit is None:
             raise ConfigurationError("decode items must carry a unit pin")
-        self._queues.setdefault(key, deque()).append(item)
+        q = self._queues.get(key)
+        if q is None:
+            q = self._queues[key] = deque()
+            if item.phase == "decode":
+                self._decode_units.add(item.unit)
+        q.append(item)
+        self._depth += 1
 
     def depth(self) -> int:
         """Total queued items (the admission-control pressure signal)."""
-        return sum(len(q) for q in self._queues.values())
+        return self._depth
 
     def empty(self) -> bool:
         """O(1) emptiness test: ``_pop`` deletes drained queues, so the
@@ -110,7 +120,17 @@ class DynamicBatcher:
     def queued(self, phase: str) -> int:
         return sum(len(q) for (p, _), q in self._queues.items() if p == phase)
 
+    def decode_units(self) -> set[int]:
+        """Units with a pinned decode step queued (a live view: read it,
+        do not mutate it)."""
+        return self._decode_units
+
     # -- batch closing -------------------------------------------------------
+    def ready(self, phase: str, now: int) -> bool:
+        """Whether the shared ``vit`` or ``prefill`` class's batch has
+        closed (any unit may take it; prefill also needs a free slot)."""
+        return self._ready((phase, None), now)
+
     def _ready(self, key: ClassKey, now: int) -> bool:
         q = self._queues.get(key)
         if not q:
@@ -123,9 +143,12 @@ class DynamicBatcher:
         take = min(len(q), self.policy.batch_limit(key[0]),
                    limit if limit is not None else len(q))
         items = [q.popleft() for _ in range(take)]
+        self._depth -= take
+        phase, unit = key
         if not q:
             del self._queues[key]
-        phase, unit = key
+            if phase == "decode":
+                self._decode_units.discard(unit)
         return Batch(phase, items, now, unit)
 
     def pop_ready(

@@ -307,74 +307,95 @@ class Dispatcher:
 
     # -- dispatch -------------------------------------------------------------
     def try_dispatch(self, now: int) -> None:
-        """Launch every batch that can start now on an idle unit."""
-        while self.idle:
-            launched = False
-            for u in sorted(self.idle):
-                batch = self.batcher.pop_ready(
-                    now, u,
-                    prefill_slots=self.sessions.free_slots(u),
-                    decode_sessions=self.sessions.active(u),
-                )
-                if batch is None:
-                    continue
-                if batch.phase == "prefill":
-                    for item in batch.items:
-                        self.sessions.open(item.request, u)
-                cycles = self.cost.batch_cycles(batch)
-                finish = self.pool.assign(u, now, cycles,
-                                          f"{batch.phase}x{batch.size}")
-                self.idle.discard(u)
-                self.metrics.record_dispatch(batch.phase, batch.size)
-                plan_new = False
-                if self.config.compiled and batch.phase == "decode":
-                    key = (batch.phase, batch.size)
-                    seen = key in self.plan_ledger
-                    plan_new = not seen
-                    self.plan_ledger[key] = self.plan_ledger.get(key, 0) + 1
-                    if self.registry.enabled:
-                        self.registry.counter(
-                            f"{self.metric_prefix}serve.plan."
-                            f"{'replays' if seen else 'traces'}"
-                        ).inc()
-                if self.registry.enabled:
-                    self.registry.counter(
-                        f"{self.metric_prefix}serve.dispatches.{batch.phase}"
-                    ).inc()
-                    self.registry.histogram(
-                        f"{self.metric_prefix}serve.batch_fill.{batch.phase}"
-                    ).observe(
-                        batch.size / self.config.policy.batch_limit(batch.phase)
-                    )
-                self.recorder.record_dispatch(now, batch, u, plan_new)
-                if self.tracer.enabled:
-                    self.tracer.span(
-                        f"{batch.phase}x{batch.size}",
-                        track=f"{self.track_prefix}unit{u}",
-                        start=now,
-                        end=finish,
-                        cat="dispatch",
-                        args={
-                            "phase": batch.phase,
-                            "size": batch.size,
-                            "context": batch.context,
-                            "rids": [i.request.rid for i in batch.items],
-                        },
-                        process=(self.processes[u] if self.processes
-                                 else DEFAULT_PROCESS),
-                    )
-                if self._ctx:
-                    self._record_path(batch, now, finish, u)
-                self.push(finish, "finish", (u, batch))
-                launched = True
-                break
-            if not launched:
-                break
-        # If units stay idle on a non-empty queue whose window has not
-        # expired yet, arrange to re-check at the next *future* expiry.
-        # An already-expired but undispatchable queue (KV slots exhausted,
-        # decode pinned to a busy unit) can only unblock at a finish
-        # event, which re-runs this function — no wake would help it.
+        """Launch every batch that can start now on an idle unit.
+
+        Only idle units that can launch are polled, lowest first: a unit
+        with a decode step pinned to it queued, any unit while the ViT
+        batch has closed, and any unit with a free KV slot while the
+        prefill batch has closed.  A launch cannot make a poll of a lower
+        unit succeed: it only takes items out of the queues, which closes
+        no batch, and it changes no other unit's slots.  So one ascending
+        pass launches exactly what re-scanning from the lowest idle unit
+        after every launch would.
+        """
+        idle, batcher, sessions = self.idle, self.batcher, self.sessions
+        if not idle or batcher.empty():
+            return
+        pinned = batcher.decode_units()
+        vit = batcher.ready("vit", now)
+        prefill = batcher.ready("prefill", now)
+        for u in sorted(idle if vit or prefill else idle & pinned):
+            if not (vit or u in pinned
+                    or (prefill and sessions.free_slots(u) > 0)):
+                continue
+            batch = batcher.pop_ready(
+                now, u,
+                prefill_slots=sessions.free_slots(u),
+                decode_sessions=sessions.active(u),
+            )
+            if batch is None:
+                continue
+            self._launch(u, batch, now)
+            if batch.phase != "decode":
+                vit = batcher.ready("vit", now)
+                prefill = batcher.ready("prefill", now)
+        self._arm_wake(now)
+
+    def _launch(self, u: int, batch: Batch, now: int) -> None:
+        """Run ``batch`` on idle unit ``u`` from ``now``: open its KV
+        sessions, occupy the unit, account it, and schedule its finish."""
+        phase, size = batch.phase, batch.size
+        if phase == "prefill":
+            for item in batch.items:
+                self.sessions.open(item.request, u)
+        label = f"{phase}x{size}"
+        finish = self.pool.assign(u, now, self.cost.batch_cycles(batch), label)
+        self.idle.discard(u)
+        self.metrics.record_dispatch(phase, size)
+        registry, prefix = self.registry, self.metric_prefix
+        plan_new = False
+        if self.config.compiled and phase == "decode":
+            key = (phase, size)
+            seen = key in self.plan_ledger
+            plan_new = not seen
+            self.plan_ledger[key] = self.plan_ledger.get(key, 0) + 1
+            if registry.enabled:
+                registry.counter(
+                    f"{prefix}serve.plan.{'replays' if seen else 'traces'}"
+                ).inc()
+        if registry.enabled:
+            registry.counter(f"{prefix}serve.dispatches.{phase}").inc()
+            registry.histogram(f"{prefix}serve.batch_fill.{phase}").observe(
+                size / self.config.policy.batch_limit(phase))
+        self.recorder.record_dispatch(now, batch, u, plan_new)
+        if self.tracer.enabled:
+            self.tracer.span(
+                label,
+                track=f"{self.track_prefix}unit{u}",
+                start=now,
+                end=finish,
+                cat="dispatch",
+                args={
+                    "phase": phase,
+                    "size": size,
+                    "context": batch.context,
+                    "rids": [i.request.rid for i in batch.items],
+                },
+                process=(self.processes[u] if self.processes
+                         else DEFAULT_PROCESS),
+            )
+        if self._ctx:
+            self._record_path(batch, now, finish, u)
+        self.push(finish, "finish", (u, batch))
+
+    def _arm_wake(self, now: int) -> None:
+        """If units stay idle on a non-empty queue whose window has not
+        expired yet, arrange to re-check at the next *future* expiry.
+
+        An already-expired but undispatchable queue (KV slots exhausted,
+        decode pinned to a busy unit) can only unblock at a finish event,
+        which re-runs :meth:`try_dispatch` — no wake would help it.
+        """
         if self.idle and self.batcher.depth():
             expiry = self.batcher.next_expiry(now)
             if expiry is not None and expiry not in self._pending_wakes:
@@ -526,7 +547,7 @@ def simulate(
     clock = config.clock
     pool = UnitPool(clock.n_units)
     reg = get_registry() if registry is None else registry
-    engine = EventEngine(recorder=recorder, spike=spike)
+    engine = EventEngine(recorder=recorder, spike=spike, slo=slo)
     d = Dispatcher(config, pool, engine.sink(0),
                    cost=engine.priced(CostModel(config)), tracer=tracer,
                    registry=reg, slo=slo, path=path, recorder=recorder)

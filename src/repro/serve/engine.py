@@ -18,6 +18,7 @@ from typing import Callable, Iterable
 
 from repro.errors import ConservationError
 from repro.obs.recorder import NULL_RECORDER, FlightRecorder
+from repro.obs.slo import NULL_SLO, SLOTracker
 
 __all__ = ["EventSink", "Replica", "EventEngine", "shed"]
 
@@ -81,16 +82,19 @@ class EventEngine:
     The simulator registers ``handlers`` (at least ``arrive``): event tag ->
     ``handler(cycle, payload)``, returning the replicas the event touched.
     ``after_event(cycle)`` runs after every event, and ``on_retire(replica,
-    cycle)`` retires a draining replica once it has drained.
+    cycle)`` retires a draining replica once it has drained.  ``slo`` is
+    the run's SLO tracker, checked against the replicas at drain.
     """
 
     def __init__(self, *, recorder: FlightRecorder = NULL_RECORDER,
-                 spike: object | None = None) -> None:
+                 spike: object | None = None,
+                 slo: SLOTracker = NULL_SLO) -> None:
         self.events: list[tuple[int, int, str, object]] = []
         self._seq = itertools.count()
         self.replicas: list[Replica] = []
         self.recorder = recorder
         self.spike = spike
+        self.slo = slo
         self.handlers: dict[str, Callable] = {}
         self.after_event: Callable[[int], None] | None = None
         self.on_retire: Callable[[Replica, int], None] | None = None
@@ -159,14 +163,27 @@ class EventEngine:
 
     def check_conservation(self, arrivals: int) -> None:
         """Raise :class:`~repro.errors.ConservationError` unless every
-        arrival completed or was shed once, every replica drained, and
-        no replica was busy beyond its active span x lanes."""
+        arrival completed or was shed once, every completed llm request
+        got exactly its ``gen_tokens``, the SLO tracker (when on) counted
+        the replicas' deadline misses, every replica drained, and no
+        replica was busy beyond its active span x lanes."""
         metrics = [r.dispatcher.metrics for r in self.replicas]
         done = sum(m.completed for m in metrics)
         shed_ = sum(m.rejections for m in metrics) + self.edge_rejected
         if arrivals != done + shed_:
             raise ConservationError(
                 f"{arrivals} arrivals != {done} completed + {shed_} rejected")
+        tokens = sum(m.tokens_out for m in metrics)
+        owed = sum(m.tokens_owed for m in metrics)
+        if tokens != owed:
+            raise ConservationError(
+                f"{tokens} tokens out != {owed} gen_tokens of the "
+                f"completed llm requests")
+        misses = sum(m.deadline_misses for m in metrics)
+        if self.slo.enabled and self.slo.deadline_misses != misses:
+            raise ConservationError(
+                f"SLO tracker counted {self.slo.deadline_misses} deadline "
+                f"misses, the replicas {misses}")
         horizon = max((m.last_completion for m in metrics), default=0)
         for r in self.replicas:
             d = r.dispatcher

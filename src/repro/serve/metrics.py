@@ -36,6 +36,9 @@ class MetricsCollector:
     rejections: int = 0
     completed: int = 0
     tokens_out: int = 0
+    #: Summed ``gen_tokens`` of completed llm requests: what
+    #: ``tokens_out`` must reach once every session has drained.
+    tokens_owed: int = 0
     deadline_misses: int = 0
     latencies: list[int] = field(default_factory=list)  # request completion, cycles
     ttft: list[int] = field(default_factory=list)  # llm first token, cycles
@@ -61,6 +64,8 @@ class MetricsCollector:
 
     def record_completion(self, request: Request, now: int) -> None:
         self.completed += 1
+        if request.kind == "llm":
+            self.tokens_owed += request.gen_tokens
         self.latencies.append(now - request.arrival)
         self.last_completion = max(self.last_completion, now)
         if request.deadline is not None and now > request.deadline:

@@ -1,6 +1,7 @@
 """Tests for dynamic-batcher coalescing and window-timeout edges."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.perf.throughput import DEFAULT_CLOCK
@@ -141,3 +142,44 @@ class TestPrefillSlots:
         assert b.pop_ready(now=0, unit=0, prefill_slots=0) is None
         b.add(vit_item(1, ready=0))
         assert b.pop_ready(now=0, unit=0, prefill_slots=0).phase == "vit"
+
+
+# One random batcher operation: ("add", phase, unit, gap) queues an item
+# ``gap`` cycles after the previous operation; ("pop", unit, slots,
+# sessions, gap) polls a unit with those prefill slots / resident sessions.
+_ADD = st.tuples(st.just("add"), st.sampled_from(["vit", "prefill", "decode"]),
+                 st.integers(0, 3), st.integers(0, 2 * WAIT_CYC))
+_POP = st.tuples(st.just("pop"), st.integers(0, 3),
+                 st.one_of(st.none(), st.integers(0, 3)),
+                 st.one_of(st.none(), st.integers(0, 4)),
+                 st.integers(0, 2 * WAIT_CYC))
+
+
+class TestDepthCounter:
+    @given(st.lists(st.one_of(_ADD, _POP), max_size=80),
+           st.integers(1, 4), st.integers(1, 3))
+    def test_depth_counter_matches_queues(self, ops, max_batch, vit_max):
+        b = DynamicBatcher(BatchPolicy(max_batch=max_batch,
+                                       max_wait_us=WAIT_US,
+                                       vit_max_batch=vit_max))
+        now = 0
+        for rid, op in enumerate(ops):
+            now += op[-1]
+            if op[0] == "add":
+                _, phase, unit, _ = op
+                if phase == "decode":
+                    b.add(decode_item(rid, now, unit))
+                else:
+                    b.add((vit_item if phase == "vit" else prefill_item)(
+                        rid, now))
+            else:
+                _, unit, slots, sessions, _ = op
+                b.pop_ready(now, unit, prefill_slots=slots,
+                            decode_sessions=sessions)
+            queues = b._queues.values()
+            assert b.depth() == sum(len(q) for q in queues)
+            assert b.depth() == sum(b.queued(p)
+                                    for p in ("vit", "prefill", "decode"))
+            assert b.empty() == (b.depth() == 0)
+            assert b.decode_units() == {
+                u for (p, u), q in b._queues.items() if p == "decode" and q}

@@ -6,6 +6,7 @@ from repro.cluster import ClusterConfig, ClusterSpec, simulate_cluster
 from repro.cluster.router import Router
 from repro.errors import ConservationError, ReproError
 from repro.hw.system import UnitPool
+from repro.obs.slo import NULL_SLO, SLOConfig, SLOTracker
 from repro.serve.dispatcher import CostModel, Dispatcher, ServeConfig, simulate
 from repro.serve.engine import EventEngine, Replica
 from repro.serve.metrics import MetricsCollector
@@ -16,11 +17,11 @@ def _trace(n=120, seed=3):
     return poisson_trace(n, TrafficConfig(rate_rps=400.0), seed=seed)
 
 
-def _engine(config=ServeConfig()):
+def _engine(config=ServeConfig(), slo=NULL_SLO):
     """A single-pool engine built the way ``simulate`` builds it."""
-    engine = EventEngine()
+    engine = EventEngine(slo=slo)
     d = Dispatcher(config, UnitPool(config.clock.n_units), engine.sink(0),
-                   cost=CostModel(config))
+                   cost=CostModel(config), slo=slo)
     solo = Replica(0, (), spawned_at=0, dispatcher=d)
     engine.replicas.append(solo)
     engine.handlers["arrive"] = lambda now, req: (d.admit(req, now), solo)[1:]
@@ -69,6 +70,40 @@ def test_open_session_at_drain_raises():
     d.sessions.open(llm, 0)
     with pytest.raises(ConservationError, match="open KV sessions"):
         engine.check_conservation(len(trace))
+
+
+def test_corrupted_token_count_raises():
+    trace = _trace()
+    engine, d = _engine()
+    engine.run(trace)
+    assert d.metrics.tokens_out == d.metrics.tokens_owed > 0
+    d.metrics.tokens_out += 1
+    with pytest.raises(ConservationError, match="tokens out"):
+        engine.check_conservation(len(trace))
+
+
+def test_lost_token_is_caught_during_the_run(monkeypatch):
+    monkeypatch.setattr(MetricsCollector, "record_token", lambda self: None)
+    with pytest.raises(ConservationError, match="tokens out"):
+        simulate(_trace())
+
+
+def test_corrupted_deadline_misses_raise():
+    trace = poisson_trace(200, TrafficConfig(rate_rps=5000.0), seed=4)
+    engine, d = _engine(slo=SLOTracker(SLOConfig()))
+    engine.run(trace)
+    assert engine.slo.deadline_misses == d.metrics.deadline_misses > 0
+    d.metrics.deadline_misses -= 1
+    with pytest.raises(ConservationError, match="deadline misses"):
+        engine.check_conservation(len(trace))
+
+
+def test_deadline_misses_unchecked_without_slo():
+    trace = _trace()
+    engine, d = _engine()
+    engine.run(trace)
+    d.metrics.deadline_misses += 1  # nothing to agree with
+    engine.check_conservation(len(trace))
 
 
 def test_lost_rejection_is_caught_during_the_run(monkeypatch):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.models.backend import get_backend
@@ -44,6 +45,23 @@ class TestSessionTable:
         t.step(0, now=1)  # context grows with each generated token
         assert t.kv_bytes(0) == 1100
         assert t.peak_kv_bytes >= 1000
+
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 40),
+                              st.integers(1, 4)), max_size=40),
+           st.randoms(use_true_random=False))
+    def test_peak_equals_full_rescan_at_each_open(self, opens, rnd):
+        """The running KV total gives the peak the full re-sum over every
+        resident session gave at each open (evictions included)."""
+        t = SessionTable(3, max_sessions_per_unit=3, kv_bytes_per_token=7)
+        peak = 0
+        for rid, (unit, prompt, gen) in enumerate(opens):
+            if t.free_slots(unit) > 0:
+                t.open(llm(rid, prompt=prompt, gen=gen), unit)
+                peak = max(peak, sum(t.kv_bytes(u) for u in range(3)))
+            live = sorted(t._by_rid)
+            for victim in rnd.sample(live, k=min(len(live), 2)):
+                t.step(victim, now=rid)
+            assert t.peak_kv_bytes == peak
 
 
 class TestFunctionalAffinity:
