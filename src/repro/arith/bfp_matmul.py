@@ -8,7 +8,10 @@ smaller exponent is right-shifted (truncating) before the integer add
 hardware.
 
 This module is the numerical oracle for the cycle-level simulator in
-``repro.hw`` and the fast path for model emulation in ``repro.models``.
+``repro.hw`` and the fast path for model emulation in ``repro.models``:
+every production bfp matmul runs on one float64 kernel,
+:func:`fast_emulate_blocks`, beside its int64 reference oracle
+:func:`_emulate_blocks` and the per-block :func:`bfp_matmul_dense`.
 """
 
 from __future__ import annotations
@@ -36,10 +39,10 @@ __all__ = [
     "bfp_matmul",
     "bfp_matmul_emulate",
     "bfp_matmul_prepared",
-    "bfp_matmul_emulate_batched",
     "bfp_batched_tiles",
     "bfp_matmul_from_tiles",
     "activation_blocks",
+    "fast_emulate_blocks",
 ]
 
 PSU_WIDTH = 48  # DSP48E2 accumulator / PSU buffer word width
@@ -49,8 +52,9 @@ PSU_WIDTH = 48  # DSP48E2 accumulator / PSU buffer word width
 class AlignmentProbe:
     """Observer for the shift-aware aligned-width predictor (extension).
 
-    While attached (:func:`set_alignment_probe`), every sequential PSU
-    alignment step inside :func:`_emulate_blocks` also runs the exponent
+    While attached (:func:`set_alignment_probe`), every bfp matmul runs
+    on the integer oracle :func:`_emulate_blocks`, and each of its
+    sequential PSU alignment steps also runs the exponent
     unit's magnitude-bound predictor
     (:func:`repro.hw.exponent_unit.predict_aligned_bound` semantics,
     vectorized) and cross-checks it against the emulated mantissas.  The
@@ -119,8 +123,8 @@ def set_alignment_probe(
     probe: AlignmentProbe | None,
 ) -> AlignmentProbe | None:
     """Attach (or detach with ``None``) the alignment probe; returns the
-    previous one.  The emulation hot path pays one ``is None`` check per
-    call plus one per alignment step when detached."""
+    previous one.  Detached, the hot path pays one ``is None`` check per
+    matmul."""
     global _ALIGN_PROBE
     previous = _ALIGN_PROBE
     _ALIGN_PROBE = probe
@@ -264,14 +268,14 @@ def bfp_matmul(a: BfpMatrix, b: BfpMatrix) -> BfpMatrix:
 def _flatten_cols(b_man: np.ndarray) -> np.ndarray:
     """Right-operand mantissas ``(..., Kb, Cb, h, c)`` -> ``(..., Kb, h, Cb*c)``.
 
-    The column-flattened int64 layout the emulation core multiplies
-    against: all Cb column blocks of one K block form a single matmul
-    operand, so the mantissa product is one gufunc slice per (K block,
-    row block) instead of one per output block.
+    The column-flattened float64 layout the kernels multiply against:
+    all Cb column blocks of one K block form a single matmul operand, so
+    the mantissa product is one BLAS slice per (K block, row block)
+    instead of one per output block.
     """
     kb, cb, h, c = b_man.shape[-4:]
     return np.ascontiguousarray(
-        b_man.astype(np.int64).swapaxes(-2, -3)
+        b_man.astype(np.float64).swapaxes(-2, -3)
     ).reshape(*b_man.shape[:-4], kb, h, cb * c)
 
 
@@ -280,14 +284,15 @@ class BfpWeight:
     """A quantized right-hand operand in matmul-ready layout.
 
     Built once per weight (prepare time): the :class:`BfpMatrix`
-    mantissas widened to int64 and column-flattened to ``(Kb, h, Cb*c)``
-    so the emulation's mantissa product needs no per-call cast or
+    mantissas widened to float64 and column-flattened to ``(Kb, h, Cb*c)``
+    so the kernel's mantissa product needs no per-call cast or
     re-layout — the per-call work the Y-stationary hardware also never
-    repeats.
+    repeats.  The integer oracle reads the same array (the values are
+    small integers, so the cast back to int64 is exact).
     """
 
     matrix: BfpMatrix
-    man64: np.ndarray  # (Kb, h, Cb*c) int64
+    flat: np.ndarray  # (Kb, h, Cb*c) float64
     exp64: np.ndarray  # (Kb, Cb) int64
 
     @classmethod
@@ -338,27 +343,106 @@ def _tile_batch(
     return quantize_tiles(tiles, man_bits=man_bits)
 
 
+def fast_emulate_blocks(
+    a_man: np.ndarray,
+    a_exp: np.ndarray,
+    b_flat: np.ndarray,
+    b_exp: np.ndarray,
+) -> np.ndarray:
+    """The bfp matmul kernel: block-grid operands in, dense float64 out.
+
+    ``a_man``: ``(..., Rb, Kb, r, h)`` block-grid mantissas; ``b_flat``:
+    ``(..., Kb, h, Cb*c)`` — the right operand column-flattened (a
+    :class:`BfpWeight`'s resident layout, see :func:`_flatten_cols`);
+    ``b_exp``: ``(..., Kb, Cb)``.  Leading batch dimensions are optional
+    and broadcast-compatible.  Returns the dense padded result
+    ``(..., Rb*r, Cb*c)``, bit-identical to the integer oracle
+    :func:`_emulate_blocks`.
+
+    Mantissa products run as one batched float64 BLAS matmul and the
+    truncating alignment ``x >> d`` becomes ``floor(x * 2^-d)``
+    (identical for integer-valued f64, including the ``d = 63`` sign
+    saturation).  Both are exact: mantissas are at most 8 bits
+    (``repro.formats.bfp8`` rejects wider), so every element product is
+    below 2^14 and every PSU partial sum below ``K * 2^14`` — an integer
+    under 2^53 for any K below 2^39, so no exactness gate is needed.
+    Maximal runs of alignment steps where every PSU keeps its exponent
+    are summed in one vectorized pass — integer-valued f64 adds at a
+    common scale are order-independent — so the sequential Python loop
+    only walks the exponent *changes*.
+    """
+    a_exp = np.asarray(a_exp, dtype=np.int64)
+    b_exp = np.asarray(b_exp, dtype=np.int64)
+    b_flat = np.asarray(b_flat, dtype=np.float64)
+    rb, kb, r = a_man.shape[-4], a_man.shape[-3], a_man.shape[-2]
+    cb = b_exp.shape[-1]
+    nc = b_flat.shape[-1]
+    lead = np.broadcast_shapes(a_man.shape[:-4], b_flat.shape[:-3])
+    if kb == 0 or cb == 0:
+        return np.zeros((*lead, rb * r, nc), dtype=np.float64)
+    c = nc // cb
+    a_sw = np.asarray(a_man, dtype=np.float64).swapaxes(-4, -3)
+    prods = np.matmul(a_sw, b_flat[..., :, None, :, :])
+    exps = a_exp.swapaxes(-2, -1)[..., None] + b_exp[..., None, :]
+    run = np.maximum.accumulate(exps, axis=-3)
+    pv = prods.reshape(*prods.shape[:-1], cb, c)  # (..., Kb, Rb, r, Cb, c)
+    psu = np.ascontiguousarray(pv[..., 0, :, :, :, :])
+    if kb > 1:
+        keeps = run[..., :-1, :, :] >= exps[..., 1:, :, :]
+        ds = np.minimum(np.abs(run[..., :-1, :, :] - exps[..., 1:, :, :]), 63)
+        sc = np.exp2(-ds.astype(np.float64))
+        kb_axis = keeps.ndim - 3
+        uniform = keeps.all(
+            axis=tuple(i for i in range(keeps.ndim) if i != kb_axis)
+        )
+        bk = 1
+        while bk < kb:
+            if uniform[bk - 1]:
+                end = bk + 1
+                while end < kb and uniform[end - 1]:
+                    end += 1
+                # Scaled and floored in place: ``prods`` is private, and
+                # each K block is read exactly once.
+                seg = pv[..., bk:end, :, :, :, :]
+                np.multiply(
+                    seg, sc[..., bk - 1 : end - 1, :, None, :, None], out=seg
+                )
+                np.floor(seg, out=seg)
+                psu += seg.sum(axis=-5)
+                bk = end
+            else:
+                d = sc[..., bk - 1, :, None, :, None]
+                keep = keeps[..., bk - 1, :, None, :, None]
+                prod = pv[..., bk, :, :, :, :]
+                psu = np.where(
+                    keep, psu + np.floor(prod * d), prod + np.floor(psu * d)
+                )
+                bk += 1
+    limit = float(1 << (PSU_WIDTH - 1))
+    if psu.size and (psu.min() < -limit or psu.max() >= limit):
+        raise HardwareContractError("emulated PSU overflowed 48 bits")
+    # +0.0 normalizes any -0.0 from all-zero f64 products: the integer
+    # oracle decodes those lanes to +0.0 and the logits are SHA-pinned.
+    dense = (psu + 0.0) * np.exp2(run[..., -1, :, :].astype(np.float64))[
+        ..., :, None, :, None
+    ]
+    return dense.reshape(*lead, rb * r, nc)
+
+
 def _emulate_blocks(
     a_man: np.ndarray,
     a_exp: np.ndarray,
     b_flat: np.ndarray,
     b_exp: np.ndarray,
-    *,
-    exact_accumulate: bool,
 ) -> np.ndarray:
-    """Block-grid matmul core shared by all emulation entry points.
+    """Integer reference oracle for :func:`fast_emulate_blocks`.
 
-    ``a_man``: ``(..., Rb, Kb, r, h)`` block-grid mantissas; ``b_flat``:
-    ``(..., Kb, h, Cb*c)`` — the right operand widened to int64 and
-    column-flattened (a :class:`BfpWeight`'s resident layout, see
-    :func:`_flatten_cols`); ``b_exp``: ``(..., Kb, Cb)``.  Leading batch
-    dimensions are optional and broadcast-compatible.  Returns the dense
-    padded result ``(..., Rb*r, Cb*c)`` in float64.
-
-    The sequential-truncation path keeps the per-K-block Python loop — the
-    running PSU exponent makes each alignment depend on the previous step,
-    exactly as in hardware.  The exact-accumulate path has no such
-    dependency and contracts every K block in a single einsum.
+    Same operands and result, computed in int64 with a literal
+    ``psu + (prod >> d)`` truncating alignment per K block — the running
+    PSU exponent makes each alignment depend on the previous step,
+    exactly as in hardware.  It runs only while an
+    :class:`AlignmentProbe` is attached (the probe observes each of its
+    steps) and from the differential tests.
     """
     a_man = np.asarray(a_man, dtype=np.int64)
     a_exp = np.asarray(a_exp, dtype=np.int64)
@@ -372,12 +456,6 @@ def _emulate_blocks(
         return np.zeros((*lead, rb * r, nc), dtype=np.float64)
     c = nc // cb
     a_sw = a_man.swapaxes(-4, -3)  # (..., Kb, Rb, r, h)
-
-    if exact_accumulate:
-        sa = a_sw * np.exp2(a_exp.swapaxes(-2, -1))[..., None, None]
-        sb = b_flat * np.exp2(np.repeat(b_exp, c, axis=-1))[..., None, :]
-        acc = np.einsum("...kiab,...kbn->...ian", sa, sb)
-        return acc.reshape(*lead, rb * r, nc)
 
     # Mantissa products are independent of accumulation order, so compute
     # them for every K block in one batched matmul up front — one gufunc
@@ -449,12 +527,17 @@ def _emulate_blocks(
     return dense.reshape(*lead, rb * r, nc)
 
 
-def bfp_matmul_prepared(
-    am: BfpMatrix,
-    bm: BfpMatrix | BfpWeight,
-    *,
-    exact_accumulate: bool = False,
+def _kernel(
+    a_man: np.ndarray, a_exp: np.ndarray, b_flat: np.ndarray, b_exp: np.ndarray
 ) -> np.ndarray:
+    """The f64 kernel, or the integer oracle while an alignment probe is
+    attached (the probe observes the oracle's alignment steps)."""
+    if _ALIGN_PROBE is not None:
+        return _emulate_blocks(a_man, a_exp, b_flat, b_exp)
+    return fast_emulate_blocks(a_man, a_exp, b_flat, b_exp)
+
+
+def bfp_matmul_prepared(am: BfpMatrix, bm: BfpMatrix | BfpWeight) -> np.ndarray:
     """Emulated bfp matmul of two *already quantized* operands.
 
     This is the hot-path entry point for the prepared-operand cache
@@ -476,19 +559,12 @@ def bfp_matmul_prepared(
             f"{am.block_shape} @ {bm.block_shape}"
         )
     bw = bm if isinstance(bm, BfpWeight) else BfpWeight.from_matrix(bm)
-    dense = _emulate_blocks(
-        am.mantissas, am.exponents, bw.man64, bw.exp64,
-        exact_accumulate=exact_accumulate,
-    )
+    dense = _kernel(am.mantissas, am.exponents, bw.flat, bw.exp64)
     return dense[: am.shape[0], : bm.shape[1]]
 
 
 def bfp_matmul_emulate(
-    a: np.ndarray,
-    b: np.ndarray,
-    *,
-    exact_accumulate: bool = False,
-    man_bits: int = 8,
+    a: np.ndarray, b: np.ndarray, *, man_bits: int = 8
 ) -> np.ndarray:
     """Fast vectorized emulation of bfp8 matmul on dense fp inputs.
 
@@ -496,10 +572,7 @@ def bfp_matmul_emulate(
     aligned-truncating accumulation as the hardware, vectorized over the
     whole output block grid.  A thin wrapper over
     :func:`bfp_matmul_prepared`; pre-quantized operands (cached weights)
-    enter there directly.  With ``exact_accumulate=True`` the truncating
-    alignment is replaced by exact float64 accumulation (one einsum over
-    all K blocks) — useful to isolate how much error the alignment
-    truncation itself contributes.
+    enter there directly.
 
     This is the workhorse of the Transformer accuracy experiments: a
     DeiT-Small layer is thousands of blocks, far too many for the
@@ -511,28 +584,7 @@ def bfp_matmul_emulate(
         raise ConfigurationError(f"bad matmul shapes: {a.shape} @ {b.shape}")
     am = activation_blocks(a, man_bits=man_bits)
     bm = BfpMatrix.from_dense(b, man_bits=man_bits)
-    return bfp_matmul_prepared(am, bm, exact_accumulate=exact_accumulate)
-
-
-def bfp_matmul_emulate_batched(
-    a: np.ndarray,
-    b: np.ndarray,
-    *,
-    exact_accumulate: bool = False,
-    man_bits: int = 8,
-) -> np.ndarray:
-    """Batched bfp matmul emulation: ``(B, M, K) @ (B, K, N) -> (B, M, N)``.
-
-    One fused kernel for a stack of independent 2-D matmuls — the compute
-    shape of per-head attention and of batched decode steps.  Block
-    quantization, the mantissa einsum, and the aligned-truncating PSU
-    accumulation are all vectorized over the batch axis; each slice's
-    result is bit-identical to :func:`bfp_matmul_emulate` on that slice,
-    because quantization grids and alignment decisions are per-block and
-    blocks never span slices.
-    """
-    tiles = bfp_batched_tiles(a, b, man_bits=man_bits)
-    return bfp_matmul_from_tiles(*tiles, exact_accumulate=exact_accumulate)
+    return bfp_matmul_prepared(am, bm)
 
 
 def bfp_batched_tiles(
@@ -540,11 +592,13 @@ def bfp_batched_tiles(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Quantize both operands of a batched matmul to block-grid tiles.
 
-    Returns ``(a_man, a_exp, b_man, b_exp, m, n)`` — the split exists so
-    callers that also *observe* the quantization (the numerics monitor)
-    can inspect the tiles without quantizing twice; the pair
-    (:func:`bfp_batched_tiles`, :func:`bfp_matmul_from_tiles`) composes
-    to exactly :func:`bfp_matmul_emulate_batched`.
+    ``(B, M, K) @ (B, K, N)`` — the compute shape of per-head attention.
+    Returns ``(a_man, a_exp, b_man, b_exp, m, n)`` for
+    :func:`bfp_matmul_from_tiles`; the split exists so callers that also
+    *observe* the quantization (the numerics monitor) can inspect the
+    tiles without quantizing twice.  Quantization grids and alignment
+    decisions are per-block and blocks never span slices, so each slice
+    of the result is bit-identical to :func:`bfp_matmul_emulate` on it.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -564,12 +618,7 @@ def bfp_matmul_from_tiles(
     b_exp: np.ndarray,
     m: int,
     n: int,
-    *,
-    exact_accumulate: bool = False,
 ) -> np.ndarray:
     """Finish a batched emulated matmul from pre-quantized tiles."""
-    dense = _emulate_blocks(
-        a_man, a_exp, _flatten_cols(b_man), b_exp,
-        exact_accumulate=exact_accumulate,
-    )
+    dense = _kernel(a_man, a_exp, _flatten_cols(b_man), b_exp)
     return dense[:, :m, :n]

@@ -236,10 +236,10 @@ class PreparedOperandCache:
                 # once per residency, matching quantize-once semantics.
                 mon.observe_bfp("weight", a, bm, man_bits=man_bits)
             bw = BfpWeight.from_matrix(bm)
-            _freeze(bm.mantissas, bm.exponents, bw.man64, bw.exp64)
+            _freeze(bm.mantissas, bm.exponents, bw.flat, bw.exp64)
             nbytes = (
                 bm.mantissas.nbytes + bm.exponents.nbytes
-                + bw.man64.nbytes + bw.exp64.nbytes
+                + bw.flat.nbytes + bw.exp64.nbytes
             )
             return bw, nbytes
 

@@ -1,7 +1,7 @@
 """Shift-aware aligned-width prediction: sound, loss-free, observable.
 
 The predictor (:func:`repro.hw.exponent_unit.predict_aligned_bound`
-semantics, vectorized inside ``_emulate_blocks`` by the
+semantics, vectorized inside the integer oracle ``_emulate_blocks`` by the
 :class:`~repro.arith.bfp_matmul.AlignmentProbe`) must *never*
 under-predict — that soundness is what licenses the cost model to skip
 the upper barrel-shifter stage on predicted-narrow steps.  And since the
@@ -14,8 +14,9 @@ import pytest
 
 from repro.arith.bfp_matmul import (
     AlignmentProbe,
+    bfp_batched_tiles,
     bfp_matmul_emulate,
-    bfp_matmul_emulate_batched,
+    bfp_matmul_from_tiles,
     get_alignment_probe,
     set_alignment_probe,
 )
@@ -26,9 +27,12 @@ from repro.arith.fp_align_add import (
 )
 from repro.errors import HardwareContractError
 from repro.hw.exponent_unit import predict_aligned_bound
+from repro.models.backend import get_backend
+from repro.models.decoder import TinyLM
 from repro.hw.shifter import NARROW_ALIGN_BITS, alignment_shift_cycles
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.numerics import NULL_MONITOR, NumericsMonitor
+from repro.runtime.plan import plan_stats
 
 
 @pytest.fixture
@@ -88,11 +92,33 @@ def test_probe_covers_batched_path(probe):
         rng.integers(-20, 21, (4, 16, 32)))
     b = rng.standard_normal((4, 32, 16))
     set_alignment_probe(None)
-    want = bfp_matmul_emulate_batched(a, b)
+    want = bfp_matmul_from_tiles(*bfp_batched_tiles(a, b))
     set_alignment_probe(probe)
-    got = bfp_matmul_emulate_batched(a, b)
+    got = bfp_matmul_from_tiles(*bfp_batched_tiles(a, b))
     assert np.array_equal(want, got)
     assert probe.steps == 3 * 2 * 2 * 4 and probe.under_predictions == 0
+
+
+def test_compiled_decode_is_probed_like_eager():
+    """Decode plans run the same bfp kernels as the eager path, so an
+    attached probe observes every decode-step alignment either way."""
+    model = TinyLM(seed=0)
+    backend = get_backend("bfp8-mixed")
+    prompt = np.arange(4)
+    probes, seqs = {}, {}
+    for compiled in (False, True):
+        probes[compiled] = p = AlignmentProbe()
+        prev = set_alignment_probe(p)
+        try:
+            seqs[compiled] = model.generate_cached(
+                prompt, 4, backend, compiled=compiled)
+        finally:
+            set_alignment_probe(prev)
+    assert sum(s["replays"] for s in plan_stats(model)) > 0
+    assert np.array_equal(seqs[True], seqs[False])
+    assert probes[True].steps == probes[False].steps > 0
+    assert probes[True].under_predictions == 0
+    assert probes[False].under_predictions == 0
 
 
 def test_set_alignment_probe_returns_previous():

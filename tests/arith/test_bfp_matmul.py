@@ -8,14 +8,18 @@ from hypothesis import strategies as st
 from repro.arith.bfp_matmul import (
     BfpWeight,
     WideBlock,
+    _emulate_blocks,
+    _flatten_cols,
     accumulate,
     activation_blocks,
+    bfp_batched_tiles,
     bfp_matmul,
     bfp_matmul_dense,
     bfp_matmul_emulate,
-    bfp_matmul_emulate_batched,
+    bfp_matmul_from_tiles,
     bfp_matmul_prepared,
     block_matmul,
+    fast_emulate_blocks,
     requantize_wide,
 )
 from repro.errors import ConfigurationError, HardwareContractError
@@ -137,14 +141,6 @@ class TestTiledMatmul:
         rel = np.abs(out - ref).max() / np.abs(ref).max()
         assert rel < 0.05  # bfp8 keeps matmuls to a few percent
 
-    def test_exact_accumulate_at_least_as_accurate(self, rng):
-        a = rng.normal(size=(24, 80))
-        b = rng.normal(size=(80, 24))
-        ref = a @ b
-        trunc = np.abs(bfp_matmul_emulate(a, b) - ref).max()
-        exact = np.abs(bfp_matmul_emulate(a, b, exact_accumulate=True) - ref).max()
-        assert exact <= trunc * 1.5  # alignment truncation only adds error
-
     def test_requantized_output_blocks(self, rng):
         a = rng.normal(size=(16, 16))
         b = rng.normal(size=(16, 16))
@@ -182,11 +178,9 @@ class TestPreparedMatmul:
         am = activation_blocks(a)
         bm = BfpMatrix.from_dense(b)
         bw = BfpWeight.from_matrix(bm)
-        for exact in (False, True):
-            assert np.array_equal(
-                bfp_matmul_prepared(am, bw, exact_accumulate=exact),
-                bfp_matmul_prepared(am, bm, exact_accumulate=exact),
-            )
+        assert np.array_equal(
+            bfp_matmul_prepared(am, bw), bfp_matmul_prepared(am, bm)
+        )
 
     def test_bfp_weight_roundtrip(self, rng):
         bm = BfpMatrix.from_dense(rng.normal(size=(24, 20)))
@@ -222,6 +216,11 @@ class TestPreparedMatmul:
             bfp_matmul_prepared(am, bm)
 
 
+def _batched(a, b, **kw):
+    """The batched matmul: quantize to tiles, then finish from them."""
+    return bfp_matmul_from_tiles(*bfp_batched_tiles(a, b, **kw))
+
+
 class TestBatchedEmulate:
     @given(st.integers(1, 12), st.integers(1, 20), st.integers(1, 12),
            st.integers(1, 4))
@@ -230,24 +229,15 @@ class TestBatchedEmulate:
         rng = np.random.default_rng(m * 31 + k * 7 + n * 3 + batch)
         a = rng.normal(size=(batch, m, k))
         b = rng.normal(size=(batch, k, n))
-        out = bfp_matmul_emulate_batched(a, b)
+        out = _batched(a, b)
         assert out.shape == (batch, m, n)
         for i in range(batch):
             assert np.array_equal(out[i], bfp_matmul_emulate(a[i], b[i]))
 
-    def test_exact_accumulate_slices_match(self, rng):
-        a = rng.normal(size=(3, 9, 24))
-        b = rng.normal(size=(3, 24, 10))
-        out = bfp_matmul_emulate_batched(a, b, exact_accumulate=True)
-        for i in range(3):
-            assert np.array_equal(
-                out[i], bfp_matmul_emulate(a[i], b[i], exact_accumulate=True)
-            )
-
     def test_narrow_mantissa_slices_match(self, rng):
         a = rng.normal(size=(2, 8, 16))
         b = rng.normal(size=(2, 16, 8))
-        out = bfp_matmul_emulate_batched(a, b, man_bits=4)
+        out = _batched(a, b, man_bits=4)
         for i in range(2):
             assert np.array_equal(
                 out[i], bfp_matmul_emulate(a[i], b[i], man_bits=4)
@@ -255,8 +245,147 @@ class TestBatchedEmulate:
 
     def test_shape_validation(self):
         with pytest.raises(ConfigurationError):
-            bfp_matmul_emulate_batched(np.zeros((2, 4, 5)), np.zeros((2, 4, 5)))
+            bfp_batched_tiles(np.zeros((2, 4, 5)), np.zeros((2, 4, 5)))
         with pytest.raises(ConfigurationError):
-            bfp_matmul_emulate_batched(np.zeros((2, 4, 5)), np.zeros((3, 5, 4)))
+            bfp_batched_tiles(np.zeros((2, 4, 5)), np.zeros((3, 5, 4)))
         with pytest.raises(ConfigurationError):
-            bfp_matmul_emulate_batched(np.zeros((4, 5)), np.zeros((5, 4)))
+            bfp_batched_tiles(np.zeros((4, 5)), np.zeros((5, 4)))
+
+
+# ---------------------------------------------------------------------------
+# One kernel beside its oracles: f64 kernel == int64 oracle == per-block
+# ---------------------------------------------------------------------------
+
+
+def _spread_operand(rng, lead, rows, k, *, man_bits, spread, zero_frac, codes):
+    """A ``(*lead, rows, k)`` operand (K last) stressing every alignment regime.
+
+    Each 8x8 block gets its own power-of-two scale in ``2^[-spread, spread]``
+    (wide spreads give non-uniform keep steps and ``d = 63`` saturation),
+    a ``zero_frac`` share of blocks is all-zero, and a few entries are
+    ``-0.0``.  With ``codes`` every value is an exact mantissa code and
+    every block row holds the peak code, so the quantizer emits the
+    saturating ``+-(2^(man_bits-1) - 1)`` mantissas.
+    """
+    shape = (*lead, rows, k)
+    grid = (*lead, -(-rows // 8), -(-k // 8))
+    if codes:
+        mm = (1 << (man_bits - 1)) - 1
+        x = rng.integers(-mm, mm + 1, shape).astype(np.float64)
+        x[..., ::3] = mm * rng.choice([-1.0, 1.0], x[..., ::3].shape)
+    else:
+        x = rng.standard_normal(shape)
+
+    def per_block(v):
+        return np.repeat(np.repeat(v, 8, axis=-2), 8, axis=-1)[..., :rows, :k]
+
+    x = x * per_block(np.exp2(rng.integers(-spread, spread + 1, grid)))
+    x[per_block(rng.random(grid) < zero_frac)] = 0.0
+    x[rng.random(shape) < 0.05] = -0.0
+    return x
+
+
+def _kernels_agree(a_man, a_exp, b_man, b_exp, m, n, production, per_block):
+    """Assert the f64 kernel, the int64 oracle, the production entry point
+    and the per-block oracle all produce the same bytes (so +0.0, never
+    -0.0, for zero lanes)."""
+    operands = (a_man, a_exp, _flatten_cols(b_man), b_exp)
+    f64 = fast_emulate_blocks(*operands)[..., :m, :n]
+    i64 = _emulate_blocks(*operands)[..., :m, :n]
+    want = per_block.tobytes()
+    assert f64.tobytes() == want
+    assert i64.tobytes() == want
+    assert production.tobytes() == want
+
+
+def _check_2d(a, b, man_bits):
+    am = activation_blocks(a, man_bits=man_bits)
+    bm = BfpMatrix.from_dense(b, man_bits=man_bits)
+    _kernels_agree(
+        am.mantissas, am.exponents, bm.mantissas, bm.exponents,
+        a.shape[0], b.shape[1],
+        bfp_matmul_prepared(am, bm), bfp_matmul_dense(am, bm),
+    )
+
+
+def _check_batched(a, b, man_bits):
+    tiles = bfp_batched_tiles(a, b, man_bits=man_bits)
+    a_man, a_exp, b_man, b_exp, m, n = tiles
+    k = a.shape[-1]
+    per_block = np.stack([
+        bfp_matmul_dense(
+            BfpMatrix(a_man[i], a_exp[i], (m, k)),
+            BfpMatrix(b_man[i], b_exp[i], (k, n)),
+        )
+        for i in range(a.shape[0])
+    ])
+    _kernels_agree(*tiles, bfp_matmul_from_tiles(*tiles), per_block)
+
+
+def _operands(seed, batch, m, k, n, man_bits, spread, zero_frac, codes):
+    rng = np.random.default_rng(seed)
+    lead = () if batch is None else (batch,)
+    kw = dict(man_bits=man_bits, spread=spread, zero_frac=zero_frac,
+              codes=codes)
+    a = _spread_operand(rng, lead, m, k, **kw)
+    b = _spread_operand(rng, lead, n, k, **kw).swapaxes(-1, -2)
+    return a, b
+
+
+class TestKernelDifferential:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.one_of(st.none(), st.integers(1, 3)),
+        m=st.integers(1, 17),
+        k=st.one_of(st.integers(1, 80), st.integers(81, 4096)),
+        n=st.integers(1, 17),
+        man_bits=st.integers(2, 8),
+        spread=st.integers(0, 45),
+        zero_frac=st.sampled_from([0.0, 0.2, 0.6, 1.0]),
+        codes=st.booleans(),
+    )
+    @settings(max_examples=40)
+    def test_f64_kernel_int64_oracle_and_per_block_agree(
+        self, seed, batch, m, k, n, man_bits, spread, zero_frac, codes
+    ):
+        if k > 512:  # keep the per-block oracle's Python loop cheap
+            m, n = min(m, 9), min(n, 9)
+            batch = None if batch is None else 1
+        a, b = _operands(seed, batch, m, k, n, man_bits, spread, zero_frac,
+                         codes)
+        if batch is None:
+            _check_2d(a, b, man_bits)
+        else:
+            _check_batched(a, b, man_bits)
+
+    def test_fixture_hits_every_alignment_regime(self):
+        """A pinned wide-spread input provably reaches non-uniform keep
+        steps, the d = 63 saturation on non-zero products, all-zero
+        blocks and peak mantissa codes — and the kernels still agree."""
+        a, b = _operands(3, None, 24, 512, 24, 8, 45, 0.2, True)
+        am = activation_blocks(a)
+        bm = BfpMatrix.from_dense(b)
+        exps = am.exponents.T[:, :, None] + bm.exponents[:, None, :]
+        run = np.maximum.accumulate(exps, axis=0)  # (Kb, Rb, Cb)
+        keeps = run[:-1] >= exps[1:]
+        per_step = keeps.reshape(keeps.shape[0], -1)
+        assert (per_step.any(axis=1) & ~per_step.all(axis=1)).any()
+        live = (am.exponents.T[:, :, None] > -128) & (bm.exponents[:, None, :] > -128)
+        assert ((run[:-1] - exps[1:] >= 63) & live[1:]).any()
+        assert (am.exponents == -128).any() and (bm.exponents == -128).any()
+        assert np.abs(am.mantissas).max() == 127
+        assert np.abs(bm.mantissas).max() == 127
+        _check_2d(a, b, 8)
+
+    def test_negative_zero_lanes_decode_to_positive_zero(self):
+        """Zero lanes are +0.0 like the oracle's, even where the BLAS
+        (or a -0.0 mantissa fed straight to the kernel) yields -0.0."""
+        a = np.full((3, 16), -0.0)
+        b = -np.ones((16, 5))
+        _check_2d(a, b, 8)
+        assert not np.signbit(bfp_matmul_emulate(a, b)).any()
+        out = fast_emulate_blocks(
+            np.full((1, 2, 1, 8), -0.0), np.zeros((1, 2), np.int64),
+            -np.ones((2, 8, 8)), np.zeros((2, 1), np.int64),
+        )
+        assert not np.signbit(out).any()

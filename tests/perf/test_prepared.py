@@ -105,7 +105,7 @@ class TestCacheMechanics:
     def test_payload_arrays_are_read_only(self, cache, rng):
         bfp, _ = cache.prepare_bfp(rng.normal(size=(16, 16)))
         with pytest.raises(ValueError):
-            bfp.payload.man64[0, 0, 0] = 1
+            bfp.payload.flat[0, 0, 0] = 1
         with pytest.raises(ValueError):
             bfp.payload.matrix.mantissas[0, 0, 0, 0] = 1
         intq, _ = cache.prepare_int(rng.normal(size=(8, 8)))

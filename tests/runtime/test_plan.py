@@ -15,6 +15,7 @@ The contract under test (:mod:`repro.runtime.plan`):
 """
 
 import hashlib
+import importlib
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from repro.obs.numerics import NULL_MONITOR, NumericsMonitor, set_monitor
 from repro.perf.prepared import PreparedOperandCache, get_cache, set_cache
 from repro.runtime import plan as planmod
 from repro.runtime.plan import (
-    DecodePlan,
     KvArena,
     bind_group_cache,
     compiled_active,
@@ -399,12 +399,31 @@ class TestPlanStats:
         assert stats["replays"] == 4
         assert stats["sampled_taps"] == 0
 
-    def test_trace_is_fast_kernel_eligible(self):
-        """bfp8 at 8 mantissa bits stays inside the exact-f64 window for
-        every reduction depth a TinyLM can produce."""
-        model = _model()
-        backend = PolicyBackend(get_policy("bfp8-mixed"))
-        plan = resolve_plan(model, backend, 1)
-        assert isinstance(plan, DecodePlan)
-        for ops in plan.blocks:
-            assert ops.qkv.fast, "qkv did not qualify for the fast kernel"
+    def test_eager_and_compiled_share_the_f64_kernel(self, monkeypatch):
+        """Every bfp matmul of both decode paths runs the one f64 kernel;
+        the integer oracle stays out of production."""
+        # The package re-exports a function named bfp_matmul; fetch the module.
+        bm = importlib.import_module("repro.arith.bfp_matmul")
+        calls = []
+        kernel = bm.fast_emulate_blocks
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        def oracle(*args):
+            raise AssertionError("the integer oracle ran without a probe")
+
+        monkeypatch.setattr(bm, "fast_emulate_blocks", counted)
+        monkeypatch.setattr(bm, "_emulate_blocks", oracle)
+        model = _model(depth=1)
+        backend = PolicyBackend(get_policy("bfp8-all"))
+        # qkv, Q.K^T, P.V, proj, gate + up (one fused matmul when
+        # compiled), down, head
+        for compiled, matmuls in ((False, 8), (True, 7)):
+            calls.clear()
+            model.forward_step(1, 0, model.init_cache(), backend,
+                               compiled=compiled)
+            assert len(calls) == matmuls
+        (stats,) = plan_stats(model)
+        assert stats["replays"] == 1
