@@ -9,9 +9,11 @@ hardware.
 
 This module is the numerical oracle for the cycle-level simulator in
 ``repro.hw`` and the fast path for model emulation in ``repro.models``:
-every production bfp matmul runs on one float64 kernel,
+every production bfp matmul runs on one float kernel,
 :func:`fast_emulate_blocks`, beside its int64 reference oracle
-:func:`_emulate_blocks` and the per-block :func:`bfp_matmul_dense`.
+:func:`_emulate_blocks` and the per-block :func:`bfp_matmul_dense`.  The
+kernel computes in the narrowest float dtype that provably holds every
+partial sum exactly (:func:`kernel_dtype`).
 """
 
 from __future__ import annotations
@@ -41,11 +43,33 @@ __all__ = [
     "bfp_matmul_prepared",
     "bfp_batched_tiles",
     "bfp_matmul_from_tiles",
+    "bfp_matmul_resident",
     "activation_blocks",
     "fast_emulate_blocks",
+    "kernel_dtype",
 ]
 
 PSU_WIDTH = 48  # DSP48E2 accumulator / PSU buffer word width
+
+#: float32 represents every integer of magnitude below 2**24 exactly
+_F32_EXACT = 1 << 24
+#: largest mantissa magnitude of any supported block format (8 bits)
+_MAN_PEAK = 127
+
+
+def kernel_dtype(kb: int, h: int = BLOCK_ROWS) -> np.dtype:
+    """The float dtype :func:`fast_emulate_blocks` computes in, for an
+    inner dimension of ``kb`` blocks of ``h``.
+
+    float32 when ``K * 127^2 + Kb < 2^24`` (``K = kb * h``; ``K <= 1040``
+    at ``h = 8``), else float64: 127 is the largest mantissa of every
+    supported format (2 to 8 bits), and the proof is in
+    :func:`fast_emulate_blocks`.  Right operands are laid out in this
+    dtype once (:class:`BfpWeight`, a KV arena's tiles), so the kernel
+    pays no per-call cast.
+    """
+    fits = kb * h * _MAN_PEAK * _MAN_PEAK + kb < _F32_EXACT
+    return np.dtype(np.float32 if fits else np.float64)
 
 
 @dataclass
@@ -268,14 +292,14 @@ def bfp_matmul(a: BfpMatrix, b: BfpMatrix) -> BfpMatrix:
 def _flatten_cols(b_man: np.ndarray) -> np.ndarray:
     """Right-operand mantissas ``(..., Kb, Cb, h, c)`` -> ``(..., Kb, h, Cb*c)``.
 
-    The column-flattened float64 layout the kernels multiply against:
-    all Cb column blocks of one K block form a single matmul operand, so
-    the mantissa product is one BLAS slice per (K block, row block)
-    instead of one per output block.
+    The column-flattened layout the kernels multiply against, in
+    :func:`kernel_dtype`: all Cb column blocks of one K block form a
+    single matmul operand, so the mantissa product is one BLAS slice per
+    (K block, row block) instead of one per output block.
     """
     kb, cb, h, c = b_man.shape[-4:]
     return np.ascontiguousarray(
-        b_man.astype(np.float64).swapaxes(-2, -3)
+        b_man.astype(kernel_dtype(kb, h)).swapaxes(-2, -3)
     ).reshape(*b_man.shape[:-4], kb, h, cb * c)
 
 
@@ -284,15 +308,16 @@ class BfpWeight:
     """A quantized right-hand operand in matmul-ready layout.
 
     Built once per weight (prepare time): the :class:`BfpMatrix`
-    mantissas widened to float64 and column-flattened to ``(Kb, h, Cb*c)``
-    so the kernel's mantissa product needs no per-call cast or
-    re-layout — the per-call work the Y-stationary hardware also never
-    repeats.  The integer oracle reads the same array (the values are
-    small integers, so the cast back to int64 is exact).
+    mantissas cast to the kernel's exact dtype (:func:`kernel_dtype`,
+    float32 for every ``K <= 1040`` at 8 bits) and column-flattened to
+    ``(Kb, h, Cb*c)`` so the kernel's mantissa product needs no per-call
+    cast or re-layout — the per-call work the Y-stationary hardware also
+    never repeats.  The integer oracle reads the same array (the values
+    are small integers, so the cast back to int64 is exact).
     """
 
     matrix: BfpMatrix
-    flat: np.ndarray  # (Kb, h, Cb*c) float64
+    flat: np.ndarray  # (Kb, h, Cb*c) in kernel_dtype(Kb, h)
     exp64: np.ndarray  # (Kb, Cb) int64
 
     @classmethod
@@ -359,29 +384,46 @@ def fast_emulate_blocks(
     ``(..., Rb*r, Cb*c)``, bit-identical to the integer oracle
     :func:`_emulate_blocks`.
 
-    Mantissa products run as one batched float64 BLAS matmul and the
-    truncating alignment ``x >> d`` becomes ``floor(x * 2^-d)``
-    (identical for integer-valued f64, including the ``d = 63`` sign
-    saturation).  Both are exact: mantissas are at most 8 bits
-    (``repro.formats.bfp8`` rejects wider), so every element product is
-    below 2^14 and every PSU partial sum below ``K * 2^14`` — an integer
-    under 2^53 for any K below 2^39, so no exactness gate is needed.
-    Maximal runs of alignment steps where every PSU keeps its exponent
-    are summed in one vectorized pass — integer-valued f64 adds at a
-    common scale are order-independent — so the sequential Python loop
-    only walks the exponent *changes*.
+    Mantissa products run as one batched BLAS matmul and the truncating
+    alignment ``x >> d`` becomes ``floor(x * 2^-d)``.  Maximal runs of
+    alignment steps where every PSU keeps its exponent are summed in one
+    vectorized pass, so the sequential Python loop only walks the
+    exponent *changes*.  All of it is exact while every value is an
+    integer the float dtype represents — below 2^24 in float32, 2^53 in
+    float64.  With ``K = Kb * h`` and ``m`` the largest mantissa
+    magnitude (127 at 8 bits):
+
+    * each ``h``-long block dot is at most ``h * m^2`` (``< 2^17`` at
+      ``h = 8``), so the BLAS sums it exactly in any order, FMA or not;
+    * a PSU is a sum of block dots, each possibly scaled by ``2^-d``
+      (exact: ``d <= 63`` keeps even float32 normal) and floored.  A
+      floor moves a value by less than one, growing its magnitude only
+      for negative values, so ``|PSU| <= sum|p| + Kb <= K * m^2 + Kb``
+      after every step — and every partial sum of a vectorized run,
+      being a sub-sum, obeys the same bound, so the order of the adds
+      does not matter;
+    * the final ``PSU * 2^exp`` scaling runs in float64 (block exponents
+      reach -256, below float32's range).
+
+    So float32 is exact when ``K * 127^2 + Kb < 2^24`` — every
+    ``K <= 1040`` — and float64 for any ``K`` below 2^39.
+    :func:`kernel_dtype` picks the dtype from that bound alone; a
+    ``b_flat`` laid out by it is already in that dtype, so the call pays
+    no cast.
     """
     a_exp = np.asarray(a_exp, dtype=np.int64)
     b_exp = np.asarray(b_exp, dtype=np.int64)
-    b_flat = np.asarray(b_flat, dtype=np.float64)
+    b_flat = np.asarray(b_flat)
     rb, kb, r = a_man.shape[-4], a_man.shape[-3], a_man.shape[-2]
     cb = b_exp.shape[-1]
     nc = b_flat.shape[-1]
     lead = np.broadcast_shapes(a_man.shape[:-4], b_flat.shape[:-3])
     if kb == 0 or cb == 0:
         return np.zeros((*lead, rb * r, nc), dtype=np.float64)
+    dt = kernel_dtype(kb, a_man.shape[-1])
+    b_flat = np.asarray(b_flat, dtype=dt)
     c = nc // cb
-    a_sw = np.asarray(a_man, dtype=np.float64).swapaxes(-4, -3)
+    a_sw = np.asarray(a_man, dtype=dt).swapaxes(-4, -3)
     prods = np.matmul(a_sw, b_flat[..., :, None, :, :])
     exps = a_exp.swapaxes(-2, -1)[..., None] + b_exp[..., None, :]
     run = np.maximum.accumulate(exps, axis=-3)
@@ -390,7 +432,7 @@ def fast_emulate_blocks(
     if kb > 1:
         keeps = run[..., :-1, :, :] >= exps[..., 1:, :, :]
         ds = np.minimum(np.abs(run[..., :-1, :, :] - exps[..., 1:, :, :]), 63)
-        sc = np.exp2(-ds.astype(np.float64))
+        sc = np.exp2(-ds.astype(np.float64)).astype(dt)
         kb_axis = keeps.ndim - 3
         uniform = keeps.all(
             axis=tuple(i for i in range(keeps.ndim) if i != kb_axis)
@@ -418,10 +460,14 @@ def fast_emulate_blocks(
                     keep, psu + np.floor(prod * d), prod + np.floor(psu * d)
                 )
                 bk += 1
+    # A float32 PSU is below 2^24 by the bound above; only float64 can
+    # reach the 48-bit PSU limit.
     limit = float(1 << (PSU_WIDTH - 1))
-    if psu.size and (psu.min() < -limit or psu.max() >= limit):
+    if dt == np.float64 and psu.size and (
+        psu.min() < -limit or psu.max() >= limit
+    ):
         raise HardwareContractError("emulated PSU overflowed 48 bits")
-    # +0.0 normalizes any -0.0 from all-zero f64 products: the integer
+    # +0.0 normalizes any -0.0 from all-zero products: the integer
     # oracle decodes those lanes to +0.0 and the logits are SHA-pinned.
     dense = (psu + 0.0) * np.exp2(run[..., -1, :, :].astype(np.float64))[
         ..., :, None, :, None
@@ -530,7 +576,7 @@ def _emulate_blocks(
 def _kernel(
     a_man: np.ndarray, a_exp: np.ndarray, b_flat: np.ndarray, b_exp: np.ndarray
 ) -> np.ndarray:
-    """The f64 kernel, or the integer oracle while an alignment probe is
+    """The float kernel, or the integer oracle while an alignment probe is
     attached (the probe observes the oracle's alignment steps)."""
     if _ALIGN_PROBE is not None:
         return _emulate_blocks(a_man, a_exp, b_flat, b_exp)
@@ -588,8 +634,8 @@ def bfp_matmul_emulate(
 
 
 def bfp_batched_tiles(
-    a: np.ndarray, b: np.ndarray, *, man_bits: int = 8
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
+    a: np.ndarray, b: np.ndarray | None, *, man_bits: int = 8
+) -> tuple:
     """Quantize both operands of a batched matmul to block-grid tiles.
 
     ``(B, M, K) @ (B, K, N)`` — the compute shape of per-head attention.
@@ -599,16 +645,25 @@ def bfp_batched_tiles(
     tiles without quantizing twice.  Quantization grids and alignment
     decisions are per-block and blocks never span slices, so each slice
     of the result is bit-identical to :func:`bfp_matmul_emulate` on it.
+    ``b=None`` quantizes only ``a``, for a right operand that is already
+    resident (:func:`bfp_matmul_resident`); ``b_man``, ``b_exp`` and
+    ``n`` are then ``None``.
     """
     a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ConfigurationError(f"bad batched matmul shapes: {a.shape} @ {b.shape}")
-    m, n = a.shape[1], b.shape[2]
+    if b is not None:
+        b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 3 or b is not None and (
+        b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]
+    ):
+        shape_b = None if b is None else b.shape
+        raise ConfigurationError(f"bad batched matmul shapes: {a.shape} @ {shape_b}")
+    m = a.shape[1]
     rows = BLOCK_ROWS if m >= BLOCK_ROWS else max(1, m)
     a_man, a_exp = _tile_batch(a, rows, BLOCK_COLS, man_bits=man_bits)
+    if b is None:
+        return a_man, a_exp, None, None, m, None
     b_man, b_exp = _tile_batch(b, BLOCK_ROWS, BLOCK_COLS, man_bits=man_bits)
-    return a_man, a_exp, b_man, b_exp, m, n
+    return a_man, a_exp, b_man, b_exp, m, b.shape[2]
 
 
 def bfp_matmul_from_tiles(
@@ -622,3 +677,31 @@ def bfp_matmul_from_tiles(
     """Finish a batched emulated matmul from pre-quantized tiles."""
     dense = _kernel(a_man, a_exp, _flatten_cols(b_man), b_exp)
     return dense[:, :m, :n]
+
+
+def bfp_matmul_resident(
+    a: np.ndarray,
+    b_flat: np.ndarray,
+    b_exp: np.ndarray,
+    n: int,
+    *,
+    man_bits: int = 8,
+) -> np.ndarray:
+    """Batched matmul against a right operand that is already quantized.
+
+    ``a``: ``(B, M, K)`` dense; ``b_flat``/``b_exp``: the right operand in
+    the kernel's column-flattened layout, ``(B, Kb, h, Cb*c)`` and
+    ``(B, Kb, Cb)`` — a KV arena's cached K^T/V tiles, quantized once
+    per block rather than per call.  Only ``a`` is quantized here,
+    through :func:`bfp_batched_tiles` (so a host-time ledger that wraps
+    it sees attention quantization as at the dense path), and the result
+    is bit-identical to :func:`bfp_matmul_from_tiles` on the same
+    operands.  Returns ``(B, M, n)`` float64.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 3 or -(-a.shape[2] // BLOCK_COLS) != b_flat.shape[-3]:
+        raise ConfigurationError(
+            f"bad resident matmul shapes: {a.shape} @ {b_flat.shape}"
+        )
+    a_man, a_exp = bfp_batched_tiles(a, None, man_bits=man_bits)[:2]
+    return _kernel(a_man, a_exp, b_flat, b_exp)[:, : a.shape[1], :n]

@@ -22,19 +22,30 @@ ARTIFACT_SCHEMA_VERSION = 1
 
 
 def git_rev(cwd: str | Path | None = None) -> str:
-    """Short git revision of the working tree, or ``"unknown"``."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            cwd=cwd or Path(__file__).resolve().parent,
+    """Short git revision of the working tree, or ``"unknown"``.
+
+    A tree with uncommitted changes to tracked files reads
+    ``"<rev>-dirty"``: numbers measured there are not the revision's own,
+    and the bench gate's per-revision history dedup must not file them
+    under it.
+    """
+    cwd = cwd or Path(__file__).resolve().parent
+
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            ["git", *args], capture_output=True, text=True, timeout=10,
+            cwd=cwd,
         )
+
+    try:
+        out = git("rev-parse", "--short", "HEAD")
+        rev = out.stdout.strip()
+        if out.returncode != 0 or not rev:
+            return "unknown"
+        status = git("status", "--porcelain", "--untracked-files=no")
     except (OSError, subprocess.SubprocessError):
         return "unknown"
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else "unknown"
+    return f"{rev}-dirty" if status.stdout.strip() else rev
 
 
 def jsonable(value):

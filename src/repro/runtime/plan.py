@@ -14,7 +14,9 @@ taps and KV re-stacking.  This module hoists all of it out of the loop:
   Python dispatch and **bit-identical** logits versus the eager path.
 * :class:`KvArena` keeps a batch group's K/V in one preallocated buffer
   with capacity-doubling in-place appends — no per-token
-  ``np.concatenate`` re-stack/copy.
+  ``np.concatenate`` re-stack/copy — and, for block-fp attention, K^T
+  and V as resident bfp tiles: an append re-quantizes only the 8-token
+  block it lands in, so per-step quantize work is constant in context.
 * Numerics-monitor taps become *sampled*: 1-in-N replay steps (default
   ``DEFAULT_TAP_SAMPLE``) re-run the full eager path with every tap live,
   recorded in a small ring buffer, so quantization health survives
@@ -36,8 +38,9 @@ import numpy as np
 # Re-exported: perfbench/ledger.py times the bfp kernel under this name
 # (its wrapper rebinds every module that imported the function).
 from repro.arith.bfp_matmul import fast_emulate_blocks  # noqa: F401
+from repro.arith.bfp_matmul import bfp_matmul_resident, kernel_dtype
 from repro.errors import ConfigurationError
-from repro.formats.bfp8 import BLOCK_COLS
+from repro.formats.bfp8 import BLOCK_COLS, quantize_tiles
 from repro.formats.registry import BfpFormat
 from repro.models.attention import MultiHeadSelfAttention
 from repro.models.backend import PolicyBackend
@@ -78,6 +81,42 @@ class PlanUnsupported(Exception):
 # ---------------------------------------------------------------------------
 
 
+class _KvTiles:
+    """One arena's K^T and V as bfp tiles in the kernel's resident layout.
+
+    ``kt``: ``(rows, h, hb, 8, cap)`` — K^T column-flattened, one 8-token
+    tile column per block; ``v``: ``(rows, h, cap/8, 8, hb*8)``; with
+    their shared exponents ``kt_exp`` ``(rows, h, hb, cap/8)`` and
+    ``v_exp`` ``(rows, h, cap/8, hb)``.  Mantissas are stored in the
+    kernel's exact dtype (:func:`~repro.arith.bfp_matmul.kernel_dtype`),
+    for K^T by the head dim and for V by the token capacity.
+    """
+
+    __slots__ = ("man_bits", "kt", "kt_exp", "v", "v_exp")
+
+    def __init__(self, man_bits: int, rows: int, h: int, hb: int, nb: int):
+        self.man_bits = man_bits
+        t = BLOCK_COLS
+        self.kt = np.zeros((rows, h, hb, t, nb * t), kernel_dtype(hb, t))
+        self.kt_exp = np.zeros((rows, h, hb, nb), np.int64)
+        self.v = np.zeros((rows, h, nb, t, hb * t), kernel_dtype(nb, t))
+        self.v_exp = np.zeros((rows, h, nb, hb), np.int64)
+
+    @property
+    def blocks(self) -> int:
+        return self.v.shape[2]
+
+    def resized(self, nb: int, filled: int) -> "_KvTiles":
+        """A copy with room for ``nb`` token blocks (``filled`` kept)."""
+        rows, h, _, t, hd = self.v.shape
+        out = _KvTiles(self.man_bits, rows, h, hd // t, nb)
+        out.kt[..., : filled * t] = self.kt[..., : filled * t]
+        out.kt_exp[..., :filled] = self.kt_exp[..., :filled]
+        out.v[:, :, :filled] = self.v[:, :, :filled]
+        out.v_exp[:, :, :filled] = self.v_exp[:, :, :filled]
+        return out
+
+
 class KvArena:
     """A batch group's K/V cache in one preallocated, growable buffer.
 
@@ -87,12 +126,21 @@ class KvArena:
     ``max_capacity``, the context window) so a decode of T tokens does
     O(log T) copies instead of T re-stacks.  ``grow_*``/``stack_*``
     counters make the no-copy property testable.
+
+    Beside the dense rows the arena keeps K^T and V as bfp tiles
+    (:meth:`tiles`), the attention operands the block-fp kernel reads —
+    the hardware's resident-operand analogue: a block is encoded once,
+    not per step.  An append re-quantizes only the 8-token block it
+    lands in (a partial block is zero-padded, exactly as a fresh
+    quantization of the whole prefix pads it, and zero padding never
+    moves a shared exponent), so per-step quantize work is constant in
+    context; ``quantized_elems`` counts it.
     """
 
     __slots__ = (
         "n_heads", "head_dim", "length", "capacity", "max_capacity",
-        "_k", "_v", "grow_events", "grow_copied", "stack_events",
-        "stack_copied",
+        "_k", "_v", "_tiles", "grow_events", "grow_copied", "stack_events",
+        "stack_copied", "quantized_elems",
     )
 
     def __init__(
@@ -112,10 +160,12 @@ class KvArena:
         shape = (int(rows), self.n_heads, self.capacity, self.head_dim)
         self._k = np.zeros(shape, dtype=np.float32)
         self._v = np.zeros(shape, dtype=np.float32)
+        self._tiles: _KvTiles | None = None
         self.grow_events = 0
         self.grow_copied = 0
         self.stack_events = 0
         self.stack_copied = 0
+        self.quantized_elems = 0
 
     @property
     def rows(self) -> int:
@@ -135,6 +185,66 @@ class KvArena:
         self._k, self._v = k, v
         self.capacity = new_cap
         self.grow_events += 1
+        tiles = self._tiles
+        nb = -(-new_cap // BLOCK_COLS)
+        if tiles is not None and nb > tiles.blocks:
+            # Copied, never re-quantized: filled blocks are final.
+            self._tiles = tiles.resized(nb, -(-self.length // BLOCK_COLS))
+
+    def _quantize_blocks(self, j0: int, j1: int) -> None:
+        """Encode token blocks ``j0 .. j1-1`` of the filled prefix into
+        the tiles (K and V in one :func:`quantize_tiles` call)."""
+        tiles = self._tiles
+        t = BLOCK_COLS
+        rows, h, hd = self.rows, self.n_heads, self.head_dim
+        hb, nb = -(-hd // t), j1 - j0
+        kv = np.zeros((2, rows, h, nb * t, hb * t))
+        stop = min(j1 * t, self.length)
+        kv[0, :, :, : stop - j0 * t, :hd] = self._k[:, :, j0 * t : stop]
+        kv[1, :, :, : stop - j0 * t, :hd] = self._v[:, :, j0 * t : stop]
+        # (2, rows, h, blocks, hd blocks, token, dim) 8x8 tiles
+        kv = kv.reshape(2, rows, h, nb, t, hb, t).swapaxes(-3, -2)
+        man, exp = quantize_tiles(kv, man_bits=tiles.man_bits)
+        self.quantized_elems += man.size
+        tiles.kt[..., j0 * t : j1 * t] = (
+            man[0].transpose(0, 1, 3, 5, 2, 4).reshape(rows, h, hb, t, nb * t)
+        )
+        tiles.kt_exp[..., j0:j1] = exp[0].swapaxes(-1, -2)
+        tiles.v[:, :, j0:j1] = (
+            man[1].swapaxes(-3, -2).reshape(rows, h, nb, t, hb * t)
+        )
+        tiles.v_exp[:, :, j0:j1] = exp[1]
+
+    def tiles(self, man_bits: int) -> tuple[np.ndarray, ...]:
+        """K^T and V of the filled prefix as bfp ``man_bits`` tiles.
+
+        Returns ``(kt_flat, kt_exp, v_flat, v_exp)`` with the rows and
+        heads merged, ready for
+        :func:`~repro.arith.bfp_matmul.bfp_matmul_resident`:
+        ``(rows*h, hb, 8, tb*8)``, ``(rows*h, hb, tb)``,
+        ``(rows*h, tb, 8, hb*8)``, ``(rows*h, tb, hb)`` for ``tb`` token
+        blocks.  The first call for a width (or after a width change)
+        quantizes the whole prefix once; appends keep the tiles current.
+        """
+        tb = -(-self.length // BLOCK_COLS)
+        tiles = self._tiles
+        if tiles is None or tiles.man_bits != man_bits:
+            tiles = self._tiles = _KvTiles(
+                man_bits, self.rows, self.n_heads,
+                -(-self.head_dim // BLOCK_COLS),
+                -(-self.capacity // BLOCK_COLS),
+            )
+            if tb:
+                self._quantize_blocks(0, tb)
+        bh = self.rows * self.n_heads
+        t = BLOCK_COLS
+        hb = tiles.kt.shape[2]
+        return (
+            tiles.kt[..., : tb * t].reshape(bh, hb, t, tb * t),
+            tiles.kt_exp[..., :tb].reshape(bh, hb, tb),
+            tiles.v[:, :, :tb].reshape(bh, tb, t, hb * t),
+            tiles.v_exp[:, :, :tb].reshape(bh, tb, hb),
+        )
 
     def append(self, k_new: np.ndarray, v_new: np.ndarray) -> None:
         """Write one new position in place: operands are ``(rows, h, 1, hd)``."""
@@ -143,6 +253,9 @@ class KvArena:
         self._k[:, :, self.length] = k_new[:, :, 0]
         self._v[:, :, self.length] = v_new[:, :, 0]
         self.length += 1
+        if self._tiles is not None:
+            j = (self.length - 1) // BLOCK_COLS
+            self._quantize_blocks(j, j + 1)
 
     def views(self) -> tuple[np.ndarray, np.ndarray]:
         """Zero-copy ``(rows, h, t, hd)`` K/V views of the filled prefix."""
@@ -162,6 +275,7 @@ class KvArena:
             self._v[row, :, :length] = v[0, :, :length]
             self.stack_copied += 2 * length * self.n_heads * self.head_dim
         self.length = length
+        self._tiles = None  # re-encoded from the rows on next use
 
 
 def _entry_length(entry: dict) -> int:
@@ -313,6 +427,7 @@ class _BlockOps:
     up: _LinearOp | None
     down: _LinearOp
     attn_fmt: object  # batched attention matmuls (Q.K^T, P.V)
+    kv_bits: int | None  # block-fp attention: read the arena's K/V tiles
     swiglu: object
 
 
@@ -369,6 +484,7 @@ class DecodePlan:
             h, hd = attn.n_heads, attn.head_dim
             hidden = mlp.gate.d_out
             fuse = isinstance(lin_m, BfpFormat) and hidden % BLOCK_COLS == 0
+            attn_fmt = backend._fmt_at(apath, "attention")
             self.blocks.append(_BlockOps(
                 norm1=blk.norm1,
                 norm2=blk.norm2,
@@ -386,7 +502,11 @@ class DecodePlan:
                 ),
                 up=None if fuse else _LinearOp(lin_m, mlp.up),
                 down=_LinearOp(lin_m, mlp.down),
-                attn_fmt=backend._fmt_at(apath, "attention"),
+                attn_fmt=attn_fmt,
+                kv_bits=(
+                    attn_fmt.man_bits if type(attn_fmt) is BfpFormat
+                    else None
+                ),
                 swiglu=_swiglu_fn(mlp),
             ))
             self.n_heads, self.head_dim = h, hd
@@ -452,17 +572,30 @@ class DecodePlan:
             qkv = qkv.reshape(b, 1, 3, h, hd).transpose(2, 0, 3, 1, 4)
             q, k_new, v_new = qkv[0], qkv[1], qkv[2]
             arena.append(k_new, v_new)
-            k, v = arena.views()
             t = arena.length
-            s = ops.attn_fmt.matmul_batched(
-                q.reshape(b * h, 1, hd),
-                k.transpose(0, 1, 3, 2).reshape(b * h, hd, t),
-            )
+            q = q.reshape(b * h, 1, hd)
+            bits = ops.kv_bits
+            if bits is None:
+                k, v = arena.views()
+                s = ops.attn_fmt.matmul_batched(
+                    q, k.transpose(0, 1, 3, 2).reshape(b * h, hd, t)
+                )
+            else:
+                # Block-fp attention reads the arena's resident K^T/V
+                # tiles: only the fresh Q and P are quantized this step.
+                kt, kt_exp, vt, vt_exp = arena.tiles(bits)
+                s = bfp_matmul_resident(
+                    q, kt, kt_exp, t, man_bits=bits
+                ).astype(np.float32)
             scores = s.reshape(b, h, 1, t) * self.scale
             probs = ops.softmax.forward(scores.astype(np.float32), ops.nl_attn)
-            ctx = ops.attn_fmt.matmul_batched(
-                probs.reshape(b * h, 1, t), v.reshape(b * h, t, hd)
-            )
+            probs = probs.reshape(b * h, 1, t)
+            if bits is None:
+                ctx = ops.attn_fmt.matmul_batched(
+                    probs, v.reshape(b * h, t, hd)
+                )
+            else:
+                ctx = bfp_matmul_resident(probs, vt, vt_exp, hd, man_bits=bits)
             ctx = ctx.reshape(b, h, 1, hd).transpose(0, 2, 1, 3).reshape(b, 1, d)
             x = ops.res_attn.requantize(
                 x + ops.proj(ctx.astype(np.float32))

@@ -20,6 +20,7 @@ from repro.arith.bfp_matmul import (
     bfp_matmul_prepared,
     block_matmul,
     fast_emulate_blocks,
+    kernel_dtype,
     requantize_wide,
 )
 from repro.errors import ConfigurationError, HardwareContractError
@@ -253,7 +254,7 @@ class TestBatchedEmulate:
 
 
 # ---------------------------------------------------------------------------
-# One kernel beside its oracles: f64 kernel == int64 oracle == per-block
+# One kernel beside its oracles: float kernel == int64 oracle == per-block
 # ---------------------------------------------------------------------------
 
 
@@ -286,14 +287,14 @@ def _spread_operand(rng, lead, rows, k, *, man_bits, spread, zero_frac, codes):
 
 
 def _kernels_agree(a_man, a_exp, b_man, b_exp, m, n, production, per_block):
-    """Assert the f64 kernel, the int64 oracle, the production entry point
-    and the per-block oracle all produce the same bytes (so +0.0, never
-    -0.0, for zero lanes)."""
+    """Assert the float kernel, the int64 oracle, the production entry
+    point and the per-block oracle all produce the same bytes (so +0.0,
+    never -0.0, for zero lanes)."""
     operands = (a_man, a_exp, _flatten_cols(b_man), b_exp)
-    f64 = fast_emulate_blocks(*operands)[..., :m, :n]
+    fast = fast_emulate_blocks(*operands)[..., :m, :n]
     i64 = _emulate_blocks(*operands)[..., :m, :n]
     want = per_block.tobytes()
-    assert f64.tobytes() == want
+    assert fast.tobytes() == want
     assert i64.tobytes() == want
     assert production.tobytes() == want
 
@@ -330,6 +331,62 @@ def _operands(seed, batch, m, k, n, man_bits, spread, zero_frac, codes):
     a = _spread_operand(rng, lead, m, k, **kw)
     b = _spread_operand(rng, lead, n, k, **kw).swapaxes(-1, -2)
     return a, b
+
+
+F32, F64 = np.dtype(np.float32), np.dtype(np.float64)
+
+
+def _worst_case(kb, man_bits):
+    """Peak-code operands ``(8, 8kb) @ (8kb, 8)`` built as block grids.
+
+    Every mantissa is ``+-m``.  Lane (0, 0) sums ``-m^2`` products at one
+    exponent, so its PSU runs up to ``-K m^2``; every 40th K block
+    arrives 4 exponents low (a truncating floor of a negative product)
+    and the last block 1 exponent high (a truncating floor of the
+    negative PSU, odd after three such blocks at ``Kb = 130``).  Other
+    lanes mix signs.
+    """
+    m = (1 << (man_bits - 1)) - 1
+    a_man = np.full((1, kb, 8, 8), m, np.int16)
+    a_man[0, :, 1::2, ::3] *= -1
+    b_man = np.full((kb, 1, 8, 8), -m, np.int16)
+    b_man[1::3, 0, :, 4:] *= -1
+    b_exp = np.zeros((kb, 1), np.int16)
+    b_exp[9::40] = -4
+    b_exp[-1] = 1
+    am = BfpMatrix(a_man, np.zeros((1, kb), np.int16), (8, 8 * kb))
+    return am, BfpMatrix(b_man, b_exp, (8 * kb, 8))
+
+
+def _lane_trace(am, bm):
+    """Literal integer PSU chain of output lane (0, 0): its peak |PSU| and
+    the counts of truncating floors of negative products / PSUs."""
+    psu = exp = None
+    peak = neg_prod_floors = neg_psu_floors = 0
+    for k in range(am.mantissas.shape[1]):
+        p = int(am.mantissas[0, k, 0].astype(np.int64)
+                @ bm.mantissas[k, 0, :, 0].astype(np.int64))
+        e = int(am.exponents[0, k]) + int(bm.exponents[k, 0])
+        if psu is None:
+            psu, exp = p, e
+        elif exp >= e:
+            d = min(exp - e, 63)
+            neg_prod_floors += p < 0 and p % (1 << d) != 0
+            psu += p >> d
+        else:
+            d = min(e - exp, 63)
+            neg_psu_floors += psu < 0 and psu % (1 << d) != 0
+            psu, exp = p + (psu >> d), e
+        peak = max(peak, abs(psu))
+    return peak, neg_prod_floors, neg_psu_floors
+
+
+def _grids_agree(am, bm, bw):
+    fast = fast_emulate_blocks(am.mantissas, am.exponents, bw.flat, bw.exp64)
+    oracle = _emulate_blocks(am.mantissas, am.exponents, bw.flat, bw.exp64)
+    assert fast.tobytes() == oracle.tobytes()
+    assert bfp_matmul_prepared(am, bw).tobytes() == fast.tobytes()
+    assert bfp_matmul_dense(am, bm).tobytes() == fast.tobytes()
 
 
 class TestKernelDifferential:
@@ -389,3 +446,31 @@ class TestKernelDifferential:
             -np.ones((2, 8, 8)), np.zeros((2, 1), np.int64),
         )
         assert not np.signbit(out).any()
+
+    # -- the f32/f64 boundary: K * m^2 + Kb < 2^24 picks float32 ------------
+
+    @pytest.mark.parametrize("man_bits", [4, 6, 8])
+    @pytest.mark.parametrize("kb,dtype", [
+        (129, F32), (130, F32), (131, F64), (132, F64),
+    ])
+    def test_boundary_at_k_1040(self, kb, dtype, man_bits):
+        """Kb 129-132: float32 while ``K * 127^2 + Kb < 2^24`` (K <= 1040),
+        for the weight layout and the kernel alike.  The bound is fixed
+        at the 8-bit peak, so narrower formats switch at the same K."""
+        am, bm = _worst_case(kb, man_bits)
+        bw = BfpWeight.from_matrix(bm)
+        assert kernel_dtype(kb) == dtype
+        assert bw.flat.dtype == dtype
+        _grids_agree(am, bm, bw)
+
+    def test_pinned_worst_case_at_k_1040(self):
+        """All codes +-127 at the largest f32 K: the PSU comes within 3%
+        of 2^24, and both kinds of truncating floor of a negative value
+        happen — the kernel still matches the oracles byte for byte."""
+        am, bm = _worst_case(130, 8)
+        peak, prod_floors, psu_floors = _lane_trace(am, bm)
+        assert 2**24 * 0.97 < peak <= 1040 * 127**2 + 130 < 2**24
+        assert prod_floors > 0 and psu_floors > 0
+        bw = BfpWeight.from_matrix(bm)
+        assert bw.flat.dtype == F32
+        _grids_agree(am, bm, bw)

@@ -1,8 +1,11 @@
 """BENCH_<name>.json artifact writer."""
 
 import json
+import shutil
+import subprocess
 
 import numpy as np
+import pytest
 
 from repro.obs.artifacts import git_rev, jsonable, write_bench_artifact
 
@@ -33,3 +36,23 @@ def test_write_bench_artifact(tmp_path):
 
 def test_git_rev_unknown_outside_repo(tmp_path):
     assert git_rev(tmp_path) == "unknown"
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_git_rev_marks_a_dirty_tree(tmp_path):
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=tmp_path, check=True, capture_output=True,
+        )
+
+    git("init", "-q")
+    (tmp_path / "f.txt").write_text("a\n")
+    git("add", "f.txt")
+    git("commit", "-q", "-m", "init")
+    clean = git_rev(tmp_path)
+    assert clean != "unknown" and not clean.endswith("-dirty")
+    (tmp_path / "untracked.txt").write_text("x\n")
+    assert git_rev(tmp_path) == clean
+    (tmp_path / "f.txt").write_text("b\n")
+    assert git_rev(tmp_path) == f"{clean}-dirty"

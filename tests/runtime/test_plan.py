@@ -20,6 +20,7 @@ import importlib
 import numpy as np
 import pytest
 
+from repro.arith.bfp_matmul import _flatten_cols, bfp_batched_tiles
 from repro.errors import ConfigurationError
 from repro.models.backend import PolicyBackend, get_backend
 from repro.models.decoder import TinyLM
@@ -386,6 +387,172 @@ class TestKvArena:
         assert np.array_equal(entry["v"], v)
 
 
+def _tile_elems(rows, heads, head_dim):
+    """Quantized K/V elements of one 8-token block (head_dim padded)."""
+    return 2 * rows * heads * (-(-head_dim // 8) * 8) * 8
+
+
+class TestQuantizedKvArena:
+    """The arena's resident bfp K^T/V tiles: quantize work is constant per
+    step, and every path into the arena stays bit-identical to eager."""
+
+    def test_tiles_match_fresh_quantization_at_every_position(self, rng):
+        """Appending at every position inside a token block, across
+        capacity grows, keeps the tiles equal to quantizing the whole
+        prefix from scratch — the layout the eager attention builds."""
+        rows, h, hd = 2, 3, 12
+        arena = KvArena(rows, h, hd, capacity=1, max_capacity=40)
+        for t in range(1, 41):
+            k = rng.normal(size=(rows, h, 1, hd)).astype(np.float32)
+            v = rng.normal(size=(rows, h, 1, hd)).astype(np.float32)
+            if t % 5 == 0:
+                k[..., : hd // 2] *= np.float32(2.0 ** rng.integers(-30, 30))
+            arena.append(k, v)
+            kt, kt_exp, vt, vt_exp = arena.tiles(8)
+            kd, vd = arena.views()
+            q = np.zeros((rows * h, 1, hd))
+            p = np.zeros((rows * h, 1, t))
+            _, _, k_man, k_exp, _, _ = bfp_batched_tiles(
+                q, kd.transpose(0, 1, 3, 2).reshape(rows * h, hd, t))
+            _, _, v_man, v_exp, _, _ = bfp_batched_tiles(
+                p, vd.reshape(rows * h, t, hd))
+            assert np.array_equal(kt, _flatten_cols(k_man))
+            assert np.array_equal(kt_exp, k_exp)
+            assert np.array_equal(vt, _flatten_cols(v_man))
+            assert np.array_equal(vt_exp, v_exp)
+        assert arena.grow_events >= 5
+
+    def test_quantized_elems_per_step_constant_in_context(self):
+        """Exactly one 8-token block of K and V per layer per step, at
+        every position — across capacity grows and block boundaries —
+        where re-quantizing the whole cache costs ``ceil(t/8)`` blocks."""
+        rows, heads, dim = 2, 4, 64
+        model = _model(dim=dim, heads=heads, seq_len=40)
+        backend = PolicyBackend(get_policy("bfp8-all"))
+        caches = [model.init_cache(capacity=4) for _ in range(rows)]
+        per_step = _tile_elems(rows, heads, dim // heads)
+        for s in range(40):
+            before = [
+                c["arena"].quantized_elems if "arena" in c else 0
+                for c in caches[0]
+            ]
+            model.forward_step_batch([s % 7, 3], [s, s], caches, backend,
+                                     compiled=True)
+            arenas = [c["arena"] for c in caches[0]]
+            if s == 0:
+                before = [0] * len(arenas)
+            for arena, b0 in zip(arenas, before):
+                assert arena.quantized_elems - b0 == per_step, s
+        assert all(a.grow_events >= 3 for a in arenas)
+        assert all(a.stack_events == 1 for a in arenas)
+
+    @pytest.mark.parametrize("prefix", [5, 11, 14])
+    def test_regroup_mid_block_is_bit_identical(self, prefix):
+        """Sessions stepped alone to a length inside a token block, then
+        regrouped: the new arena quantizes the loaded prefix once and
+        decodes bitwise like eager."""
+        assert prefix % 8
+        model = _model(seq_len=24)
+        policy = get_policy("bfp8-all")
+
+        def run(compiled):
+            backend = PolicyBackend(policy)
+            caches = [model.init_cache() for _ in range(2)]
+            out = []
+            for s in range(prefix):
+                for i, cache in enumerate(caches):
+                    out.append(model.forward_step(
+                        (s + i) % 9, s, cache, backend, compiled=compiled))
+            arenas = []
+            for s in range(prefix, prefix + 6):
+                out.extend(model.forward_step_batch(
+                    [s % 5, s % 3], [s, s], caches, backend,
+                    compiled=compiled))
+                arenas.append(caches[0][0]["arena"])
+            return np.stack(out), arenas
+
+        le, _ = run(False)
+        lc, arenas = run(True)
+        assert _sha(le) == _sha(lc)
+        arena = arenas[0]
+        assert all(a is arena for a in arenas)
+        hd = model.blocks[0].attn.head_dim
+        blocks = -(-(prefix + 1) // 8) + 5  # the prefix once, then 1/step
+        assert arena.quantized_elems == blocks * _tile_elems(2, 4, hd)
+
+    def test_legacy_plain_dict_cache_decodes_like_eager(self, rng):
+        model = _model(depth=1)
+        attn = model.blocks[0].attn
+        h, hd, t = attn.n_heads, attn.head_dim, 10
+        k = rng.normal(size=(1, h, t, hd)).astype(np.float32)
+        v = rng.normal(size=(1, h, t, hd)).astype(np.float32)
+
+        def run(compiled):
+            backend = PolicyBackend(get_policy("bfp8-all"))
+            cache = [{"k": k.copy(), "v": v.copy()}]
+            return np.stack([
+                model.forward_step(s % 5, s, cache, backend,
+                                   compiled=compiled)
+                for s in range(t, t + 4)
+            ])
+
+        assert _sha(run(False)) == _sha(run(True))
+
+    @pytest.mark.parametrize("dim,heads", [(48, 4), (40, 8), (64, 2)])
+    def test_padded_head_dims_are_bit_identical(self, dim, heads):
+        """head_dim 12 and 5 pad their K^T/V tiles; 32 does not."""
+        model = _model(dim=dim, heads=heads, seq_len=20)
+        (le, _), (lc, _) = _decode_both(model, get_policy("bfp8-all"),
+                                        steps=18)
+        assert _sha(le) == _sha(lc)
+
+    def test_parametric_bfp6_attention_keys_tiles_by_width(self):
+        model = _model(seq_len=20)
+        (le, _), (lc, _) = _decode_both(model, get_policy("bfp6-all"),
+                                        steps=12)
+        assert _sha(le) == _sha(lc)
+        arena = KvArena(1, 2, 8)
+        arena.append(np.ones((1, 2, 1, 8), np.float32) / 3,
+                     np.ones((1, 2, 1, 8), np.float32))
+        six, eight = arena.tiles(6), arena.tiles(8)
+        assert np.abs(six[0]).max() == 21 and np.abs(eight[0]).max() == 85
+        assert arena.quantized_elems == 2 * _tile_elems(1, 2, 8)
+
+    def test_resident_q_and_p_quantize_through_bfp_batched_tiles(
+        self, monkeypatch
+    ):
+        """Only Q and P are quantized per step, through the public name a
+        host-time ledger wraps to file the kernel that follows under
+        attention."""
+        bm = importlib.import_module("repro.arith.bfp_matmul")
+        seen = []
+        quantize = bm.bfp_batched_tiles
+
+        def counted(a, b, **kw):
+            seen.append(b is None)
+            return quantize(a, b, **kw)
+
+        monkeypatch.setattr(bm, "bfp_batched_tiles", counted)
+        model = _model(depth=2)
+        backend = PolicyBackend(get_policy("bfp8-all"))
+        cache = model.init_cache()
+        for s in range(3):
+            model.forward_step(1, s, cache, backend, compiled=True)
+        assert seen == [True] * (3 * 2 * 2)  # steps x layers x (Q, P)
+
+    @pytest.mark.parametrize("fmt", ["fp16", "fp8-e4m3"])
+    def test_non_bfp_attention_stays_dense(self, fmt):
+        model = _model(depth=1)
+        backend = PolicyBackend(_half_policy(fmt))
+        cache = model.init_cache()
+        for s in range(9):
+            model.forward_step(s % 4, s, cache, backend, compiled=True)
+        arena = cache[0]["arena"]
+        assert arena.quantized_elems == 0
+        (le, _), (lc, _) = _decode_both(model, _half_policy(fmt), steps=9)
+        assert _sha(le) == _sha(lc)
+
+
 class TestPlanStats:
     def test_replay_counter_and_backend_name(self):
         model = _model(depth=1)
@@ -400,8 +567,8 @@ class TestPlanStats:
         assert stats["sampled_taps"] == 0
 
     def test_eager_and_compiled_share_the_f64_kernel(self, monkeypatch):
-        """Every bfp matmul of both decode paths runs the one f64 kernel;
-        the integer oracle stays out of production."""
+        """Every bfp matmul of both decode paths runs the one float
+        kernel; the integer oracle stays out of production."""
         # The package re-exports a function named bfp_matmul; fetch the module.
         bm = importlib.import_module("repro.arith.bfp_matmul")
         calls = []
@@ -418,8 +585,8 @@ class TestPlanStats:
         monkeypatch.setattr(bm, "_emulate_blocks", oracle)
         model = _model(depth=1)
         backend = PolicyBackend(get_policy("bfp8-all"))
-        # qkv, Q.K^T, P.V, proj, gate + up (one fused matmul when
-        # compiled), down, head
+        # qkv, Q.K^T, P.V (on the arena's tiles when compiled), proj,
+        # gate + up (one fused matmul when compiled), down, head
         for compiled, matmuls in ((False, 8), (True, 7)):
             calls.clear()
             model.forward_step(1, 0, model.init_cache(), backend,
