@@ -6,7 +6,8 @@ each hook is one ``.enabled`` attribute check in the dispatch hot loop.
 This bench measures the serving simulator's wall-clock rate with
 everything disabled vs everything enabled at full sampling, proves the
 two runs produce identical serving summaries (observation must never
-steer the simulation), and records the result as
+steer the simulation), times the enabled run's Perfetto export, and
+records the result as
 ``BENCH_obs_overhead.json`` for the bench gate's history.
 """
 
@@ -84,6 +85,11 @@ def test_obs_disabled_overhead(save_report, bench_artifact):
     # is real and bounded by the span budget, not gated here.
     n_spans = (len(on_report.tracer.spans)
                + len(on_report.tracer.async_spans))
+    # The Perfetto export is the other half of a traced run's cost:
+    # timed once on the last enabled run's tracer, recorded, not gated.
+    t0 = time.perf_counter()
+    export = on_report.tracer.to_json()
+    export_s = time.perf_counter() - t0
 
     baseline_path = (Path(__file__).parent.parent / "results"
                      / "BENCH_obs_overhead.json")
@@ -101,6 +107,7 @@ def test_obs_disabled_overhead(save_report, bench_artifact):
         f"observability enabled:  {on_rate:10.1f} requests/sec "
         f"({overhead * 100:+.1f}% slower; full 1-in-1 request-path "
         f"detail, {n_spans} spans)",
+        f"Perfetto export: {len(export)} bytes in {export_s:.3f} s",
         "identical serving summaries: True",
     ]
     if base_rate is not None:
@@ -116,6 +123,8 @@ def test_obs_disabled_overhead(save_report, bench_artifact):
         "requests_per_sec_enabled": on_rate,
         "enabled_overhead_fraction": overhead,
         "enabled_spans": n_spans,
+        "export_s": export_s,
+        "export_bytes": len(export),
         "baseline_requests_per_sec_disabled": base_rate,
         "disabled_vs_baseline_fraction": vs_baseline,
     }, seed=SEED)

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
+from typing import NamedTuple
 
 from repro.errors import ConfigurationError
 
@@ -71,8 +73,7 @@ REQUEST_STAGES = (
 )
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """One complete slice on a track: ``[start, end)`` in cycles."""
 
     name: str
@@ -88,8 +89,7 @@ class Span:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class CounterSample:
+class CounterSample(NamedTuple):
     """One sample of a counter series (rendered as a step graph)."""
 
     name: str
@@ -97,8 +97,7 @@ class CounterSample:
     value: float
 
 
-@dataclass(frozen=True)
-class AsyncSpan:
+class AsyncSpan(NamedTuple):
     """A span that may overlap others on the same track (request lifetime).
 
     Spans sharing ``(cat, span_id)`` form one nesting group in Perfetto:
@@ -114,8 +113,7 @@ class AsyncSpan:
     process: str = DEFAULT_PROCESS
 
 
-@dataclass(frozen=True)
-class FlowEvent:
+class FlowEvent(NamedTuple):
     """One arrow head/tail of a cross-process causal flow.
 
     ``phase`` is the Chrome flow phase: ``"s"`` (start), ``"t"`` (step),
@@ -132,8 +130,26 @@ class FlowEvent:
     process: str = DEFAULT_PROCESS
 
 
+#: Records are built with ``tuple.__new__`` on the recording paths: it
+#: skips the keyword-argument handling of the generated ``__new__``.
+_new = tuple.__new__
+
+#: The one JSON encoder of the export: the settings of ``json.dumps(doc,
+#: sort_keys=True, separators=(",", ":"))``.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+#: Arg key/value types whose equal values encode to the same JSON text.
+#: ``True == 1 == 1.0`` hash alike, so the export memoizes args under a
+#: key that carries every key's and value's type; floats are never
+#: memoized (``0.0 == -0.0``).
+_MEMO_TYPES = frozenset((str, int, bool, type(None)))
+
+
 def _freeze_args(args: dict | None) -> tuple[tuple[str, object], ...]:
-    return tuple(sorted(args.items())) if args else ()
+    """Args as ``(key, value)`` pairs in key order (one key needs no sort)."""
+    if not args:
+        return ()
+    return tuple(args.items() if len(args) == 1 else sorted(args.items()))
 
 
 @dataclass
@@ -195,13 +211,13 @@ class Tracer:
             raise ConfigurationError(
                 f"span {name!r} ends before it starts ({end} < {start})"
             )
-        self.track_id(track, process)
-        self.spans.append(
-            Span(name, track, start, end, cat, _freeze_args(args), process)
-        )
+        if (process, track) not in self._tracks:
+            self.track_id(track, process)
+        self.spans.append(_new(Span, (
+            name, track, start, end, cat, _freeze_args(args), process)))
 
     def counter(self, name: str, *, cycle: int, value: float) -> None:
-        self.counters.append(CounterSample(name, cycle, value))
+        self.counters.append(_new(CounterSample, (name, cycle, value)))
 
     def async_span(
         self,
@@ -218,10 +234,10 @@ class Tracer:
             raise ConfigurationError(
                 f"async span {name!r} ends before it starts ({end} < {start})"
             )
-        self.process_id(process)
-        self.async_spans.append(
-            AsyncSpan(name, span_id, start, end, cat, _freeze_args(args), process)
-        )
+        if process not in self._procs:
+            self.process_id(process)
+        self.async_spans.append(_new(AsyncSpan, (
+            name, span_id, start, end, cat, _freeze_args(args), process)))
 
     def flow(
         self,
@@ -236,8 +252,10 @@ class Tracer:
         """Record one flow arrow endpoint (``"s"``/``"t"``/``"f"``)."""
         if phase not in ("s", "t", "f"):
             raise ConfigurationError(f"unknown flow phase {phase!r}")
-        self.track_id(track, process)
-        self.flows.append(FlowEvent(name, flow_id, cycle, phase, track, process))
+        if (process, track) not in self._tracks:
+            self.track_id(track, process)
+        self.flows.append(
+            _new(FlowEvent, (name, flow_id, cycle, phase, track, process)))
 
     # -- queries -------------------------------------------------------------
     def busy_cycles(self, *, track: str | None = None, cat: str | None = None) -> int:
@@ -257,99 +275,77 @@ class Tracer:
 
     # -- export --------------------------------------------------------------
     def to_chrome_trace(self) -> dict:
-        """Chrome trace event document (Perfetto-compatible).
-
-        ``ts``/``dur`` are integer cycles (the viewer's "us" unit reads as
-        cycles); ``otherData.clock_freq_hz`` converts to wall time.
+        """Chrome trace event document (Perfetto-compatible): the parsed
+        :meth:`to_json` export.  ``ts``/``dur`` are integer cycles (the
+        viewer's "us" unit reads as cycles); ``otherData.clock_freq_hz``
+        converts to wall time.
         """
-        events: list[dict] = []
-        for process, pid in self._procs.items():
-            events.append(
-                {
-                    "ph": "M",
-                    "name": "process_name",
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"name": process},
-                }
-            )
-        for (process, track), tid in self._tracks.items():
-            pid = self._procs[process]
-            events.append(
-                {
-                    "ph": "M",
-                    "name": "thread_name",
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {"name": track},
-                }
-            )
-            events.append(
-                {
-                    "ph": "M",
-                    "name": "thread_sort_index",
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {"sort_index": tid},
-                }
-            )
-        for s in self.spans:
-            events.append(
-                {
-                    "ph": "X",
-                    "name": s.name,
-                    "cat": s.cat,
-                    "ts": s.start,
-                    "dur": s.duration,
-                    "pid": self._procs[s.process],
-                    "tid": self._tracks[(s.process, s.track)],
-                    "args": dict(s.args),
-                }
-            )
-        for a in self.async_spans:
-            common = {
-                "name": a.name,
-                "cat": a.cat,
-                "id": a.span_id,
-                "pid": self._procs[a.process],
-                "tid": 0,
-            }
-            events.append({"ph": "b", "ts": a.start, "args": dict(a.args), **common})
-            events.append({"ph": "e", "ts": a.end, **common})
-        for fl in self.flows:
-            ev = {
-                "ph": fl.phase,
-                "name": fl.name,
-                "cat": "flow",
-                "id": fl.flow_id,
-                "ts": fl.cycle,
-                "pid": self._procs[fl.process],
-                "tid": self._tracks[(fl.process, fl.track)],
-            }
-            if fl.phase == "f":
-                ev["bp"] = "e"
-            events.append(ev)
-        for c in self.counters:
-            events.append(
-                {
-                    "ph": "C",
-                    "name": c.name,
-                    "ts": c.cycle,
-                    "pid": 0,
-                    "args": {"value": c.value},
-                }
-            )
-        return {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "otherData": {"time_unit": "cycles", **self.meta},
-        }
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        """Deterministic serialization (sorted keys, fixed separators)."""
-        return json.dumps(
-            self.to_chrome_trace(), sort_keys=True, separators=(",", ":")
-        )
+        """The trace as deterministic Chrome-trace JSON.
+
+        The bytes of ``json.dumps(doc, sort_keys=True, separators=(",",
+        ":"))`` over the event document (processes, tracks, complete
+        spans, async begin/end pairs, flows, counters, each in recording
+        order), written as one ``%``-template per event with its keys in
+        sorted order.  The constant text around an event's cycles and ids
+        is built once per (name, cat, pid, tid); strings, args and
+        ``meta`` go through the one JSON encoder.
+        """
+        enc, procs, tracks = _ENCODE, self._procs, self._tracks
+        args_memo = cache(lambda args, _: enc(dict(args)))
+
+        def args_json(args: tuple) -> str:
+            types = tuple([type(x) for kv in args for x in kv])
+            if _MEMO_TYPES.issuperset(types):
+                return args_memo(args, types)
+            return enc(dict(args))
+
+        x_frag = cache(lambda name, cat, process, track: (
+            ',"cat":%s,"dur":' % enc(cat),
+            ',"name":%s,"ph":"X","pid":%d,"tid":%d,"ts":' % (
+                enc(name), procs[process], tracks[process, track])))
+        b_frag = cache(lambda name, cat, process: (
+            '"cat":%s,"id":' % enc(cat),
+            *(',"name":%s,"ph":"%s","pid":%d,"tid":0,"ts":' % (
+                enc(name), ph, procs[process]) for ph in "be")))
+        f_frag = cache(lambda phase, name, process, track: (
+            '{"bp":"e","cat":"flow","id":' if phase == "f"
+            else '{"cat":"flow","id":',
+            ',"name":%s,"ph":"%s","pid":%d,"tid":%d,"ts":' % (
+                enc(name), phase, procs[process], tracks[process, track])))
+        c_frag = cache(
+            lambda name: '},"name":%s,"ph":"C","pid":0,"ts":' % enc(name))
+        out: list[str] = []
+        add = out.append
+        for process, pid in procs.items():
+            add('{"args":{"name":%s},"name":"process_name","ph":"M",'
+                '"pid":%d,"tid":0}' % (enc(process), pid))
+        for (process, track), tid in tracks.items():
+            pid = procs[process]
+            add('{"args":{"name":%s},"name":"thread_name","ph":"M",'
+                '"pid":%d,"tid":%d}' % (enc(track), pid, tid))
+            add('{"args":{"sort_index":%d},"name":"thread_sort_index",'
+                '"ph":"M","pid":%d,"tid":%d}' % (tid, pid, tid))
+        for name, track, start, end, cat, args, process in self.spans:
+            head, tail = x_frag(name, cat, process, track)
+            add('{"args":%s%s%s%s%s}' % (
+                args_json(args), head, end - start, tail, start))
+        for name, span_id, start, end, cat, args, process in self.async_spans:
+            head, begin, finish = b_frag(name, cat, process)
+            add('{"args":%s,%s%s%s%s}' % (
+                args_json(args), head, span_id, begin, start))
+            add("{%s%s%s%s}" % (head, span_id, finish, end))
+        for name, flow_id, cycle, phase, track, process in self.flows:
+            head, tail = f_frag(phase, name, process, track)
+            add("%s%s%s%s}" % (head, flow_id, tail, cycle))
+        for name, cycle, value in self.counters:
+            add('{"args":{"value":%s%s%s}' % (
+                value if type(value) is int else enc(value), c_frag(name),
+                cycle))
+        return '{"displayTimeUnit":"ms","otherData":%s,"traceEvents":[%s]}' % (
+            enc({"time_unit": "cycles", **self.meta}), ",".join(out))
 
 
 class NullTracer(Tracer):

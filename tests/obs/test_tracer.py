@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.obs.tracer import (
@@ -237,3 +239,117 @@ def test_span_context_records_children_and_enforces_budget():
     assert ctx.dropped == 2
     assert len(t.async_spans) == 2 and len(t.flows) == 1
     assert t.async_spans[0].span_id == 0 and t.async_spans[0].cat == "llm"
+
+
+# -- the export serializer against its reference -----------------------------
+
+def reference_doc(t: Tracer) -> dict:
+    """The event document, one dict per event: the reference the template
+    serializer of :meth:`Tracer.to_json` is checked against."""
+    events: list[dict] = []
+    for process, pid in t._procs.items():
+        events.append({"ph": "M", "name": "process_name", "pid": pid,
+                       "tid": 0, "args": {"name": process}})
+    for (process, track), tid in t._tracks.items():
+        pid = t._procs[process]
+        events.append({"ph": "M", "name": "thread_name", "pid": pid,
+                       "tid": tid, "args": {"name": track}})
+        events.append({"ph": "M", "name": "thread_sort_index", "pid": pid,
+                       "tid": tid, "args": {"sort_index": tid}})
+    for s in t.spans:
+        events.append({"ph": "X", "name": s.name, "cat": s.cat,
+                       "ts": s.start, "dur": s.duration,
+                       "pid": t._procs[s.process],
+                       "tid": t._tracks[(s.process, s.track)],
+                       "args": dict(s.args)})
+    for a in t.async_spans:
+        common = {"name": a.name, "cat": a.cat, "id": a.span_id,
+                  "pid": t._procs[a.process], "tid": 0}
+        events.append({"ph": "b", "ts": a.start, "args": dict(a.args),
+                       **common})
+        events.append({"ph": "e", "ts": a.end, **common})
+    for fl in t.flows:
+        ev = {"ph": fl.phase, "name": fl.name, "cat": "flow",
+              "id": fl.flow_id, "ts": fl.cycle,
+              "pid": t._procs[fl.process],
+              "tid": t._tracks[(fl.process, fl.track)]}
+        if fl.phase == "f":
+            ev["bp"] = "e"
+        events.append(ev)
+    for c in t.counters:
+        events.append({"ph": "C", "name": c.name, "ts": c.cycle, "pid": 0,
+                       "args": {"value": c.value}})
+    return {"traceEvents": events, "displayTimeUnit": "ms",
+            "otherData": {"time_unit": "cycles", **t.meta}}
+
+
+def reference_json(t: Tracer) -> str:
+    return json.dumps(reference_doc(t), sort_keys=True, separators=(",", ":"))
+
+
+# Strings that JSON must escape, or that ensure_ascii rewrites.
+_text = st.one_of(
+    st.sampled_from(['"', "\\", "a\"b\\c", "\n\t\x00\x1f", "é", "日本",
+                     " ", "\U0001f600", "", "edge"]),
+    st.text(max_size=6),
+)
+# Equal-hashing values under one key: True == 1 == 1.0, 0.0 == -0.0.
+_scalar = st.one_of(
+    st.sampled_from([True, False, 1, 0, 1.0, 0.0, -0.0, None, "1", "x"]),
+    st.integers(-(2 ** 70), 2 ** 70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    _text,
+)
+_value = st.recursive(
+    _scalar,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(_text, inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+_args = st.one_of(
+    st.none(),
+    st.dictionaries(st.sampled_from(["phase", "batch", "k", "é\"k"]),
+                    _value, max_size=4),
+)
+_proc = st.sampled_from([DEFAULT_PROCESS, "board0", "board\"1", "б2"])
+_cycle = st.integers(0, 2 ** 40)
+
+
+@st.composite
+def _record(draw):
+    kind = draw(st.sampled_from(["span", "async", "flow", "counter"]))
+    start = draw(_cycle)
+    end = start + draw(st.integers(0, 1000))
+    if kind == "span":
+        return ("span", draw(_text), dict(
+            track=draw(_text), start=start, end=end, cat=draw(_text),
+            args=draw(_args), process=draw(_proc)))
+    if kind == "async":
+        return ("async_span", draw(_text), dict(
+            span_id=draw(st.integers(0, 50)), start=start, end=end,
+            cat=draw(_text), args=draw(_args), process=draw(_proc)))
+    if kind == "flow":
+        return ("flow", draw(st.sampled_from(["s", "t", "f"])), dict(
+            flow_id=draw(st.integers(0, 50)), cycle=start,
+            track=draw(_text), process=draw(_proc), name=draw(_text)))
+    value = draw(st.one_of(st.integers(-(2 ** 40), 2 ** 40),
+                           st.floats(allow_nan=True, allow_infinity=True)))
+    return ("counter", draw(_text), dict(cycle=start, value=value))
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=st.lists(_record(), max_size=25),
+       meta=st.dictionaries(_text, _value, max_size=3))
+@example(records=[], meta={})
+@example(records=[("span", "x", dict(track="u", start=0, end=1, args={"k": v}))
+                  for v in (True, 1, 1.0, -0.0, 0.0, 0, False, None, "1")],
+         meta={"seed": 0})
+def test_to_json_equals_reference_serializer(records, meta):
+    """Differential: the template serializer writes exactly the bytes of
+    ``json.dumps`` over the per-event dict document."""
+    t = Tracer(meta=meta)
+    for method, first, kwargs in records:
+        getattr(t, method)(first, **kwargs)
+    assert t.to_json() == reference_json(t)

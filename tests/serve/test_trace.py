@@ -1,11 +1,12 @@
 """Serving-run tracing: coverage, determinism, and registry publishing."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer, validate_chrome_trace
+from repro.obs.tracer import RequestPathConfig, Tracer, validate_chrome_trace
 from repro.serve.dispatcher import ServeConfig, simulate
 from repro.serve.request import TrafficConfig, poisson_trace
 
@@ -53,6 +54,26 @@ def test_same_seed_traces_are_byte_identical():
         return tracer.to_json()
 
     assert run() == run()
+
+
+#: SHA-256 of the seed-0 single-pool export below.  The cluster golden
+#: pins the fleet trace; this pins the single-pool one (pid 0 only,
+#: request-path stages, flows, queue-depth counters) across serializer
+#: changes.  It changes only with an intentional change to what is traced.
+SINGLE_POOL_EXPORT_SHA256 = (
+    "32279a36c1d06bedf74f6080ccb5ee845b0a85640d8e8a5905c45b92662f7dc2"
+)
+
+
+def test_single_pool_export_bytes_are_pinned():
+    trace = poisson_trace(
+        200, TrafficConfig(rate_rps=1200.0, vit_fraction=0.25), seed=0)
+    tracer = Tracer(meta={"seed": 0, "requests": 200})
+    simulate(trace, ServeConfig(), tracer=tracer, path=RequestPathConfig())
+    export = tracer.to_json()
+    assert len(export) == 1362687
+    assert hashlib.sha256(export.encode()).hexdigest() == (
+        SINGLE_POOL_EXPORT_SHA256)
 
 
 def test_registry_receives_serving_metrics(traced_run):
